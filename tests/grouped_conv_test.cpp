@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "conv_oracle.hpp"
 #include "cost/flops.hpp"
 #include "models/cfg.hpp"
 #include "models/zoo.hpp"
@@ -87,9 +88,11 @@ TEST(GroupedConv, EqualsBlockDiagonalDenseConv) {
   const Placed whole{Region::full(size, size), input};
   const Region full_out = Region::full(size, size);
   const Tensor grouped_out =
-      nn::conv2d(grouped_node, whole, full_out, nn::ConvBackend::Im2col);
+      nn::compute_node(grouped_node, std::span<const Placed>(&whole, 1),
+                       full_out);
   const Tensor dense_out =
-      nn::conv2d(dense_node, whole, full_out, nn::ConvBackend::Im2col);
+      nn::compute_node(dense_node, std::span<const Placed>(&whole, 1),
+                       full_out);
   // Same math, but dense accumulates extra zero-weight terms: values agree
   // to float tolerance (products with zero weights are exact zeros, so the
   // sums are actually identical).
@@ -112,9 +115,9 @@ TEST(GroupedConv, BackendsAgreeOnRegions) {
       const Region need = nn::input_region(g, conv, region);
       const Placed piece{need, extract(input, need)};
       const Tensor direct =
-          nn::conv2d(node, piece, region, nn::ConvBackend::Direct);
+          conv_oracle(node, piece, region);
       const Tensor fast =
-          nn::conv2d(node, piece, region, nn::ConvBackend::Im2col);
+          nn::compute_node(node, std::span<const Placed>(&piece, 1), region);
       ASSERT_FLOAT_EQ(Tensor::max_abs_diff(direct, fast), 0.0f)
           << "groups=" << groups << " region " << region;
     }
