@@ -156,18 +156,22 @@ void Harvester::note_worker(const WorkerTelemetry& round) {
   status.offset_ns = round.offset_ns;
   status.rtt_ns = round.rtt_ns;
   // Retain the device's flight recording, bounded: keep the newest
-  // kMaxBlackboxEvents — the tail is what explains a death.
+  // kMaxBlackboxEvents — the tail is what explains a death.  Drop what
+  // falls out before appending, so the buffer never outgrows the bound:
+  // one round of a busy device can carry many times that many events.
   if (!round.events.empty()) {
     constexpr std::size_t kMaxBlackboxEvents = 1024;
-    status.blackbox.insert(status.blackbox.end(), round.events.begin(),
-                           round.events.end());
-    if (status.blackbox.size() > kMaxBlackboxEvents) {
-      status.blackbox.erase(
-          status.blackbox.begin(),
-          status.blackbox.begin() +
-              static_cast<std::ptrdiff_t>(status.blackbox.size() -
-                                          kMaxBlackboxEvents));
-    }
+    const std::size_t take = std::min(round.events.size(), kMaxBlackboxEvents);
+    const std::size_t keep =
+        std::min(status.blackbox.size(), kMaxBlackboxEvents - take);
+    status.blackbox.erase(
+        status.blackbox.begin(),
+        status.blackbox.end() - static_cast<std::ptrdiff_t>(keep));
+    status.blackbox.reserve(kMaxBlackboxEvents);
+    status.blackbox.insert(
+        status.blackbox.end(),
+        round.events.end() - static_cast<std::ptrdiff_t>(take),
+        round.events.end());
   }
 }
 
