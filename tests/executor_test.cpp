@@ -20,6 +20,10 @@ struct SegmentCase {
   int input_size;
 };
 
+// Printed by name: the default byte dump holds the address of `name`, so the
+// listed test name would differ from run to run.
+void PrintTo(const SegmentCase& c, std::ostream* os) { *os << c.name; }
+
 class SegmentExecution : public ::testing::TestWithParam<SegmentCase> {};
 
 TEST_P(SegmentExecution, StripsMatchReference) {
