@@ -13,6 +13,10 @@
 // median GFLOP/s of kShapeRepeats runs after a warm-up, and a
 // bit_identical_<row> flag (4-thread output equal to the 1-thread output
 // byte for byte) that CI also checks.
+//
+// The conv_isa param names the conv tiles that ran: "avx2" (8-pixel tiles
+// on 32-byte vectors where a block has 8 pixels or more) or "baseline"
+// (4-pixel tiles only).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -27,6 +31,7 @@
 #include "cost/flops.hpp"
 #include "nn/executor.hpp"
 #include "nn/kernels.hpp"
+#include "nn/kernels_detail.hpp"
 
 namespace {
 
@@ -133,6 +138,7 @@ int main() {
   json.param("gflop", gflop);
   json.param("hardware_parallelism",
              static_cast<double>(ThreadPool::default_parallelism()));
+  json.param("conv_isa", nn::detail::conv_isa());
 
   constexpr int kRepeats = 5;
   const std::vector<int> thread_counts{1, 2, 4};

@@ -1,6 +1,9 @@
 #include "nn/executor.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
+#include "nn/kernels_detail.hpp"
 #include "nn/receptive.hpp"
 
 namespace pico::nn {
@@ -11,22 +14,27 @@ std::vector<Tensor> execute_all(const Graph& graph, const Tensor& input,
   PICO_CHECK_MSG(input.shape() == graph.input_shape(),
                  "input shape " << input.shape() << " != graph input "
                                 << graph.input_shape());
-  std::vector<Tensor> values(static_cast<std::size_t>(graph.size()));
-  values[0] = input;
+  // Every value with its full-map region, so that each node reads its
+  // producers in place.
+  std::vector<Placed> values(static_cast<std::size_t>(graph.size()));
+  values[0] = {Region::full(input.shape().height, input.shape().width),
+               input};
+  std::vector<const Placed*> pieces;
   for (int id = 1; id < graph.size(); ++id) {
     const Node& node = graph.node(id);
-    std::vector<Placed> pieces;
-    pieces.reserve(node.inputs.size());
+    pieces.clear();
     for (int producer : node.inputs) {
-      const Tensor& t = values[static_cast<std::size_t>(producer)];
-      pieces.push_back(
-          {Region::full(t.shape().height, t.shape().width), t});
+      pieces.push_back(&values[static_cast<std::size_t>(producer)]);
     }
-    values[static_cast<std::size_t>(id)] = compute_node(
-        node, pieces,
-        Region::full(node.out_shape.height, node.out_shape.width), options);
+    const Region full =
+        Region::full(node.out_shape.height, node.out_shape.width);
+    values[static_cast<std::size_t>(id)] = {
+        full, detail::compute_node(node, pieces, full, options)};
   }
-  return values;
+  std::vector<Tensor> tensors;
+  tensors.reserve(values.size());
+  for (Placed& value : values) tensors.push_back(std::move(value.tensor));
+  return tensors;
 }
 
 Tensor execute(const Graph& graph, const Tensor& input,
@@ -67,21 +75,20 @@ Tensor execute_segment(const Graph& graph, int first, int last,
       segment_demand(graph, first, last, out_region);
 
   std::vector<Placed> values(static_cast<std::size_t>(last - first + 1));
+  std::vector<const Placed*> pieces;
   for (int id = first; id <= last; ++id) {
     const Region need = demand[static_cast<std::size_t>(id - first)];
     if (need.empty()) continue;  // dead node w.r.t. this output region
     const Node& node = graph.node(id);
-    std::vector<Placed> pieces;
-    pieces.reserve(node.inputs.size());
+    pieces.clear();
     for (int producer : node.inputs) {
-      if (producer < first) {
-        pieces.push_back(input);
-      } else {
-        pieces.push_back(values[static_cast<std::size_t>(producer - first)]);
-      }
+      pieces.push_back(producer < first
+                           ? &input
+                           : &values[static_cast<std::size_t>(producer -
+                                                              first)]);
     }
     values[static_cast<std::size_t>(id - first)] = {
-        need, compute_node(node, pieces, need, options)};
+        need, detail::compute_node(node, pieces, need, options)};
   }
   return std::move(values.back().tensor);
 }

@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/kernels_detail.hpp"
 #include "obs/trace.hpp"
 
 namespace pico::nn {
@@ -116,7 +117,8 @@ constexpr long long kColBudget = 256 * 1024;
 /// Output channels per weight panel; conv's channel blocks are whole
 /// panels.
 constexpr int kOcPanel = 8;
-/// Output pixels per register tile: one 4-float vector.
+/// Output pixels per register tile on the baseline path: one 16-byte
+/// vector.
 constexpr int kPixelLanes = 4;
 
 /// Four float lanes.  Each lane is an independent output pixel, so a
@@ -131,30 +133,36 @@ Lanes load_lanes(const float* p) {
   return v;
 }
 
-/// One conv matrix-product tile: R output channels × L output pixels.
+/// One conv matrix-product tile on vector type V: R output channels × L
+/// output pixels (L at most V's lanes).
 ///   out[r][n] = act(sum_k w[r][k] * b[k][n] + bias[r])
 /// with k ascending from an accumulator of 0, the bias added last, then the
 /// fused ReLU: per lane the same float operations, in the same order, as
-/// the direct loop.  The multiply and the add stay separate instructions
-/// (no FMA; nn is built with -ffp-contract=off).  `w` holds R weight rows
-/// of K floats read in place, `b` row k of the input-patch matrix at
-/// b + k * ldb, and `out` row r at out + r * ldo.
-template <int R, int L>
-void conv_tile(const float* w, long long k_count, const float* b,
-               long long ldb, float* out, long long ldo, const float* bias,
-               bool relu) {
-  Lanes acc[R];
+/// the direct loop, whatever the width of V.  The multiply and the add stay
+/// separate instructions (no FMA; nn is built with -ffp-contract=off).
+/// `w` holds R weight rows of K floats read in place, `b` row k of the
+/// input-patch matrix at b + k * ldb, and `out` row r at out + r * ldo.
+/// Always inlined, so that a wide instance is compiled with the ISA of the
+/// AVX2 function that calls it.
+template <typename V, int R, int L>
+[[gnu::always_inline]] inline void conv_tile(const float* w,
+                                             long long k_count,
+                                             const float* b, long long ldb,
+                                             float* out, long long ldo,
+                                             const float* bias, bool relu) {
+  V acc[R];
 #pragma GCC unroll 8
-  for (int r = 0; r < R; ++r) acc[r] = Lanes{};
+  for (int r = 0; r < R; ++r) acc[r] = V{};
   for (long long k = 0; k < k_count; ++k) {
-    const Lanes x = load_lanes<L>(b + k * ldb);
+    V x{};
+    std::memcpy(&x, b + k * ldb, L * sizeof(float));
 #pragma GCC unroll 8
     for (int r = 0; r < R; ++r) acc[r] += w[r * k_count + k] * x;
   }
-  const Lanes zero{};
+  const V zero{};
 #pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
-    Lanes v = acc[r] + bias[r];
+    V v = acc[r] + bias[r];
     if (relu) v = v > zero ? v : zero;
     std::memcpy(out + r * ldo, &v, L * sizeof(float));
   }
@@ -162,38 +170,73 @@ void conv_tile(const float* w, long long k_count, const float* b,
 
 using ConvTileFn = void (*)(const float*, long long, const float*, long long,
                             float*, long long, const float*, bool);
+/// Tiles of one pixel width by channel count: row[R - 1] has R channels.
+using TileRow = std::array<ConvTileFn, kOcPanel>;
 
-template <int L, std::size_t... R>
-constexpr std::array<ConvTileFn, kOcPanel> tiles_for_lanes(
-    std::index_sequence<R...>) {
-  return {&conv_tile<static_cast<int>(R) + 1, L>...};
+/// conv_tile instances compiled for the baseline target.
+struct BaselineIsa {
+  template <typename V, int R, int L>
+  static void tile(const float* w, long long k_count, const float* b,
+                   long long ldb, float* out, long long ldo,
+                   const float* bias, bool relu) {
+    conv_tile<V, R, L>(w, k_count, b, ldb, out, ldo, bias, relu);
+  }
+};
+
+template <typename Isa, typename V, int L, std::size_t... R>
+constexpr TileRow tile_row(std::index_sequence<R...>) {
+  return {&Isa::template tile<V, static_cast<int>(R) + 1, L>...};
 }
 
-/// kConvTiles[L - 1][R - 1] computes an R-channel × L-pixel tile.
-constexpr std::array<std::array<ConvTileFn, kOcPanel>, kPixelLanes>
-    kConvTiles{tiles_for_lanes<1>(std::make_index_sequence<kOcPanel>{}),
-               tiles_for_lanes<2>(std::make_index_sequence<kOcPanel>{}),
-               tiles_for_lanes<3>(std::make_index_sequence<kOcPanel>{}),
-               tiles_for_lanes<4>(std::make_index_sequence<kOcPanel>{})};
+template <typename Isa, typename V, int L>
+constexpr TileRow tile_row() {
+  return tile_row<Isa, V, L>(std::make_index_sequence<kOcPanel>{});
+}
 
-/// out[oc][n] for `oc_count` channels and `n` pixels, as a grid of
-/// register tiles: weight panels of kOcPanel rows in the outer loop, so one
-/// panel stays in cache while it sweeps every pixel of the block.
-void conv_gemm(const float* w, long long k_count, const float* b,
-               long long ldb, long long n, float* out, long long ldo,
-               int oc_count, const float* bias, bool relu) {
-  for (int r0 = 0; r0 < oc_count; r0 += kOcPanel) {
-    const int rows = std::min(kOcPanel, oc_count - r0);
-    for (long long n0 = 0; n0 < n; n0 += kPixelLanes) {
-      const int lanes =
-          static_cast<int>(std::min<long long>(kPixelLanes, n - n0));
-      kConvTiles[static_cast<std::size_t>(lanes - 1)]
-                [static_cast<std::size_t>(rows - 1)](
-                    w + r0 * k_count, k_count, b + n0, ldb,
-                    out + r0 * ldo + n0, ldo, bias + r0, relu);
-    }
+/// narrow_tiles<Isa>[L - 1][R - 1] computes an R-channel × L-pixel tile on
+/// 4-lane vectors, compiled for Isa.
+template <typename Isa>
+constexpr std::array<TileRow, kPixelLanes> narrow_tiles{
+    tile_row<Isa, Lanes, 1>(), tile_row<Isa, Lanes, 2>(),
+    tile_row<Isa, Lanes, 3>(), tile_row<Isa, Lanes, 4>()};
+
+/// Pixels [n_begin, n) of one `rows`-channel weight panel on 4-pixel tiles.
+void narrow_sweep(const std::array<TileRow, kPixelLanes>& tiles, int rows,
+                  const float* w, long long k_count, const float* b,
+                  long long ldb, long long n_begin, long long n, float* out,
+                  long long ldo, const float* bias, bool relu) {
+  for (long long n0 = n_begin; n0 < n; n0 += kPixelLanes) {
+    const int lanes =
+        static_cast<int>(std::min<long long>(kPixelLanes, n - n0));
+    tiles[static_cast<std::size_t>(lanes - 1)]
+         [static_cast<std::size_t>(rows - 1)](w, k_count, b + n0, ldb,
+                                              out + n0, ldo, bias, relu);
   }
 }
+
+#if PICO_NN_AVX2_TILES
+/// Output pixels per wide register tile: one 32-byte vector.
+constexpr int kWideLanes = 8;
+
+/// Eight float lanes; only AVX2 functions hold or pass one.
+typedef float WideLanes
+    __attribute__((vector_size(kWideLanes * sizeof(float))));
+
+/// conv_tile instances compiled for AVX2 (without FMA).  Even a 4-lane
+/// tile gains: a weight broadcast is then one load, not a load and a
+/// shuffle.
+struct Avx2Isa {
+  template <typename V, int R, int L>
+  __attribute__((target("avx2"))) static void tile(
+      const float* w, long long k_count, const float* b, long long ldb,
+      float* out, long long ldo, const float* bias, bool relu) {
+    conv_tile<V, R, L>(w, k_count, b, ldb, out, ldo, bias, relu);
+  }
+};
+
+/// kWideTiles[R - 1] computes an R-channel × 8-pixel tile.
+constexpr TileRow kWideTiles = tile_row<Avx2Isa, WideLanes, kWideLanes>();
+#endif
 
 /// Depthwise convolution (one input and one output channel per group):
 /// each output is a kh*kw-tap sum over its own channel, so there is no
@@ -321,6 +364,62 @@ void depthwise_conv(const Node& node, const Placed& in,
   });
 }
 
+}  // namespace
+
+namespace detail {
+
+/// out[oc][n] for `oc_count` channels and `n` pixels, as a grid of
+/// register tiles: weight panels of kOcPanel rows in the outer loop, so one
+/// panel stays in cache while it sweeps every pixel of the block.
+void conv_gemm_baseline(const float* w, long long k_count, const float* b,
+                        long long ldb, long long n, float* out, long long ldo,
+                        int oc_count, const float* bias, bool relu) {
+  for (int r0 = 0; r0 < oc_count; r0 += kOcPanel) {
+    narrow_sweep(narrow_tiles<BaselineIsa>, std::min(kOcPanel, oc_count - r0),
+                 w + r0 * k_count, k_count, b, ldb, 0, n, out + r0 * ldo, ldo,
+                 bias + r0, relu);
+  }
+}
+
+#if PICO_NN_AVX2_TILES
+/// conv_gemm_baseline's grid with every full 8-pixel tile on 32-byte
+/// vectors; each panel's pixel tail, under 8, takes 4-pixel tiles.
+__attribute__((target("avx2"))) void conv_gemm_avx2(
+    const float* w, long long k_count, const float* b, long long ldb,
+    long long n, float* out, long long ldo, int oc_count, const float* bias,
+    bool relu) {
+  const long long wide_n = n - n % kWideLanes;
+  for (int r0 = 0; r0 < oc_count; r0 += kOcPanel) {
+    const int rows = std::min(kOcPanel, oc_count - r0);
+    for (long long n0 = 0; n0 < wide_n; n0 += kWideLanes) {
+      kWideTiles[static_cast<std::size_t>(rows - 1)](
+          w + r0 * k_count, k_count, b + n0, ldb, out + r0 * ldo + n0, ldo,
+          bias + r0, relu);
+    }
+    narrow_sweep(narrow_tiles<Avx2Isa>, rows, w + r0 * k_count, k_count, b,
+                 ldb, wide_n, n, out + r0 * ldo, ldo, bias + r0, relu);
+  }
+}
+#endif
+
+bool cpu_has_avx2() {
+#if PICO_NN_AVX2_TILES
+  static const bool has = __builtin_cpu_supports("avx2");
+  return has;
+#else
+  return false;
+#endif
+}
+
+ConvGemmFn served_conv_gemm() {
+#if PICO_NN_AVX2_TILES
+  if (cpu_has_avx2()) return conv_gemm_avx2;
+#endif
+  return conv_gemm_baseline;
+}
+
+const char* conv_isa() { return cpu_has_avx2() ? "avx2" : "baseline"; }
+
 /// Convolution as a matrix product over an input-patch ("col") matrix.
 ///
 /// Each parallel slab processes its rows in blocks small enough that the
@@ -337,7 +436,7 @@ void depthwise_conv(const Node& node, const Placed& in,
 /// patch-matrix extents are 64-bit: a single-row region can legally be wide
 /// enough that kernel_volume * n overflows int.
 Tensor conv(const Node& node, const Placed& in, const Region& out_region,
-            const ExecOptions& options) {
+            const ExecOptions& options, ConvGemmFn gemm) {
   const Shape in_shape = node.in_shape;
   const int oc_count = node.out_channels;
   const int ic_count = in_shape.channels;
@@ -402,11 +501,10 @@ Tensor conv(const Node& node, const Placed& in, const Region& out_region,
                             long long ldb) {
     const int oc_begin = std::max(slab.c_begin, group * ocpg);
     const int oc_end = std::min(slab.c_end, (group + 1) * ocpg);
-    conv_gemm(node.weights.data() + oc_begin * kernel_volume, kernel_volume,
-              patches, ldb, (row_end - row_begin) * width,
-              &out.at(oc_begin, row_begin - out_region.row_begin, 0),
-              out_plane, oc_end - oc_begin, node.bias.data() + oc_begin,
-              node.fused_relu);
+    gemm(node.weights.data() + oc_begin * kernel_volume, kernel_volume,
+         patches, ldb, (row_end - row_begin) * width,
+         &out.at(oc_begin, row_begin - out_region.row_begin, 0), out_plane,
+         oc_end - oc_begin, node.bias.data() + oc_begin, node.fused_relu);
   };
   const auto first_group = [&](const Slab& slab) {
     return slab.c_begin / ocpg;
@@ -489,47 +587,81 @@ Tensor conv(const Node& node, const Placed& in, const Region& out_region,
   return out;
 }
 
+}  // namespace detail
+
+namespace {
+
+/// Kernel taps [begin, end) along one axis whose input coordinate
+/// origin + tap lies in [0, extent): the window minus the padding.
+std::pair<int, int> taps_in_map(int origin, int kernel, int extent) {
+  return {std::max(0, -origin), std::min(kernel, extent - origin)};
+}
+
+/// Pooling: each output folds `reduce` over its window's in-map taps in
+/// (ky, kx) order from `init`, then `finish(acc, taps)` gives the value.
+/// Each window's tap ranges are clipped to the map once, so the taps
+/// themselves are read along input row pointers without a border test.
+template <typename Reduce, typename Finish>
 Tensor pool(const Node& node, const Placed& in, const Region& out_region,
-            const ExecOptions& options) {
+            const ExecOptions& options, float init, Reduce reduce,
+            Finish finish) {
   const Shape in_shape = node.in_shape;
-  const bool is_max = node.kind == OpKind::MaxPool;
   const int kh = node.win.kh, kw = node.win.kw;
   const int sh = node.win.sh, sw = node.win.sw;
   const int ph = node.win.ph, pw = node.win.pw;
+  const long long in_width = in.region.width();
 
   Tensor out({in_shape.channels, out_region.height(), out_region.width()});
   parallel_slabs(out_region, in_shape.channels, 1, options, "pool",
                  [&](const Slab& slab) {
     const Region& strip = slab.rows;
     for (int c = slab.c_begin; c < slab.c_end; ++c) {
+      const float* in_channel = in.tensor.channel(c);
       for (int oy = strip.row_begin; oy < strip.row_end; ++oy) {
         const int iy0 = oy * sh - ph;
+        const auto [ky_begin, ky_end] = taps_in_map(iy0, kh, in_shape.height);
+        PICO_CHECK_MSG(ky_begin < ky_end, "pool window entirely in padding");
+        const float* in_rows =
+            in_channel + (iy0 + ky_begin - in.region.row_begin) * in_width;
+        float* out_row = &out.at(c, oy - out_region.row_begin, 0);
         for (int ox = strip.col_begin; ox < strip.col_end; ++ox) {
           const int ix0 = ox * sw - pw;
-          float best = -std::numeric_limits<float>::infinity();
-          float sum = 0.0f;
-          int taps = 0;
-          for (int ky = 0; ky < kh; ++ky) {
-            const int iy = iy0 + ky;
-            if (iy < 0 || iy >= in_shape.height) continue;
-            for (int kx = 0; kx < kw; ++kx) {
-              const int ix = ix0 + kx;
-              if (ix < 0 || ix >= in_shape.width) continue;
-              const float v = in.tensor.at(c, iy - in.region.row_begin,
-                                           ix - in.region.col_begin);
-              best = std::max(best, v);
-              sum += v;
-              ++taps;
+          const auto [kx_begin, kx_end] = taps_in_map(ix0, kw, in_shape.width);
+          PICO_CHECK_MSG(kx_begin < kx_end, "pool window entirely in padding");
+          const float* row = in_rows + (ix0 + kx_begin - in.region.col_begin);
+          float acc = init;
+          for (int ky = ky_begin; ky < ky_end; ++ky, row += in_width) {
+            for (int kx = 0; kx < kx_end - kx_begin; ++kx) {
+              acc = reduce(acc, row[kx]);
             }
           }
-          PICO_CHECK_MSG(taps > 0, "pool window entirely in padding");
-          out.at(c, oy - out_region.row_begin, ox - out_region.col_begin) =
-              is_max ? best : sum / static_cast<float>(taps);
+          out_row[ox - out_region.col_begin] =
+              finish(acc, (ky_end - ky_begin) * (kx_end - kx_begin));
         }
       }
     }
   });
   return out;
+}
+
+/// The largest tap, as std::max(best, v) from -inf, so NaN taps are
+/// passed over.
+Tensor max_pool(const Node& node, const Placed& in, const Region& out_region,
+                const ExecOptions& options) {
+  return pool(
+      node, in, out_region, options, -std::numeric_limits<float>::infinity(),
+      [](float best, float v) { return std::max(best, v); },
+      [](float best, int) { return best; });
+}
+
+/// The sum of the in-map taps divided by their count: padding is not
+/// counted.
+Tensor avg_pool(const Node& node, const Placed& in, const Region& out_region,
+                const ExecOptions& options) {
+  return pool(
+      node, in, out_region, options, 0.0f,
+      [](float sum, float v) { return sum + v; },
+      [](float sum, int taps) { return sum / static_cast<float>(taps); });
 }
 
 Tensor elementwise_relu(const Placed& in, const Region& out_region,
@@ -600,12 +732,13 @@ Tensor add(const Node& node, const Placed& lhs, const Placed& rhs,
   return out;
 }
 
-Tensor concat(const Node& node, std::span<const Placed> inputs,
+Tensor concat(const Node& node, std::span<const Placed* const> inputs,
               const Region& out_region) {
   Tensor out({node.out_shape.channels, out_region.height(),
               out_region.width()});
   int c_base = 0;
-  for (const Placed& piece : inputs) {
+  for (const Placed* input : inputs) {
+    const Placed& piece = *input;
     for (int c = 0; c < piece.tensor.shape().channels; ++c) {
       for (int y = out_region.row_begin; y < out_region.row_end; ++y) {
         for (int x = out_region.col_begin; x < out_region.col_end; ++x) {
@@ -656,7 +789,9 @@ Tensor global_avgpool(const Node& node, const Placed& in) {
 
 }  // namespace
 
-Tensor compute_node(const Node& node, std::span<const Placed> inputs,
+namespace detail {
+
+Tensor compute_node(const Node& node, std::span<const Placed* const> inputs,
                     const Region& out_region, const ExecOptions& options) {
   PICO_CHECK_MSG(!out_region.empty(), "empty output region for node "
                                           << node.name);
@@ -665,31 +800,42 @@ Tensor compute_node(const Node& node, std::span<const Placed> inputs,
                          << " inputs, got " << inputs.size());
   PICO_CHECK(Region::full(node.out_shape.height, node.out_shape.width)
                  .contains(out_region));
-  for (const Placed& piece : inputs) check_piece_covers(node, piece, {});
+  for (const Placed* piece : inputs) check_piece_covers(node, *piece, {});
 
   switch (node.kind) {
     case OpKind::Conv:
-      return conv(node, inputs[0], out_region, options);
+      return conv(node, *inputs[0], out_region, options, served_conv_gemm());
     case OpKind::MaxPool:
+      return max_pool(node, *inputs[0], out_region, options);
     case OpKind::AvgPool:
-      return pool(node, inputs[0], out_region, options);
+      return avg_pool(node, *inputs[0], out_region, options);
     case OpKind::ReLU:
-      return elementwise_relu(inputs[0], out_region, options);
+      return elementwise_relu(*inputs[0], out_region, options);
     case OpKind::BatchNorm:
-      return batchnorm(node, inputs[0], out_region, options);
+      return batchnorm(node, *inputs[0], out_region, options);
     case OpKind::Add:
-      return add(node, inputs[0], inputs[1], out_region, options);
+      return add(node, *inputs[0], *inputs[1], out_region, options);
     case OpKind::Concat:
       return concat(node, inputs, out_region);
     case OpKind::FullyConnected:
-      return fully_connected(node, inputs[0]);
+      return fully_connected(node, *inputs[0]);
     case OpKind::GlobalAvgPool:
-      return global_avgpool(node, inputs[0]);
+      return global_avgpool(node, *inputs[0]);
     case OpKind::Input:
       break;
   }
   PICO_CHECK_MSG(false, "compute_node on input node");
   return {};
+}
+
+}  // namespace detail
+
+Tensor compute_node(const Node& node, std::span<const Placed> inputs,
+                    const Region& out_region, const ExecOptions& options) {
+  std::vector<const Placed*> pointers;
+  pointers.reserve(inputs.size());
+  for (const Placed& piece : inputs) pointers.push_back(&piece);
+  return detail::compute_node(node, pointers, out_region, options);
 }
 
 }  // namespace pico::nn

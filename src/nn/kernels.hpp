@@ -19,17 +19,28 @@
 //
 // Conv is a matrix product over an input-patch matrix (im2col; a stride-1,
 // unpadded 1x1 conv reads its input in place).  It runs as 8-output-channel
-// × 4-pixel register tiles whose eight weight rows are read in place: no
-// packed copy of the weights.  A call's patch matrices total at most 1 MB
-// (channel blocks share one).  Depthwise convs have their own direct loop.
+// register tiles whose eight weight rows are read in place: no packed copy
+// of the weights.  A call's patch matrices total at most 1 MB (channel
+// blocks share one).  Depthwise convs have their own direct loop; pools
+// clip the padding off each window and walk input rows.
+//
+// Two tile widths, picked at run time (nn/kernels_detail.hpp): on an x86-64
+// CPU with AVX2 (__builtin_cpu_supports, checked once) every full 8-pixel
+// tile runs on 32-byte vectors and each tail of fewer than 8 pixels, such
+// as a whole 2x2 map, on 4-pixel tiles; any other CPU runs 4-pixel tiles
+// on 16-byte vectors.  The AVX2 code comes from per-function
+// target("avx2") attributes only: no -march, -mavx2 or -mfma anywhere, so
+// the library runs on any x86-64 and builds for aarch64.
 //
 // Every output scalar is produced by exactly one slab in one fixed order —
 // acc = 0, then acc += w[k] * x[k] for k ascending over (ic, ky, kx), then
 // + bias, then the fused ReLU — with each product and sum rounded on its
 // own: vector lanes are independent output pixels, never k, and pico_nn is
 // built with -ffp-contract=off and without -ffast-math, so no multiply-add
-// is fused.  Results are therefore bit-identical for every thread count,
-// split and region: parallelism changes wall time, never arithmetic.
+// is fused.  A lane does the same IEEE operation at 4 or 8 lanes, so both
+// tile widths give the same bytes.  Results are therefore bit-identical
+// for every thread count, split, region and ISA path: parallelism and
+// vector width change wall time, never arithmetic.
 #pragma once
 
 #include <span>

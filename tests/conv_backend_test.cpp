@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "conv_oracle.hpp"
+#include "models/zoo.hpp"
 #include "nn/executor.hpp"
 #include "nn/kernels.hpp"
+#include "nn/kernels_detail.hpp"
 #include "nn/receptive.hpp"
 #include "tensor/slice.hpp"
 
@@ -192,8 +195,10 @@ TEST(ConvBackends, RandomizedSweep) {
 // ---------------------------------------------------------------------------
 // Every dispatch path of the served conv: row strips or output-channel
 // blocks (with the shared patch matrix), the register tile's partial
-// channel panels and pixel tails, the in-place 1x1 path and the depthwise
-// kernel, at 1-5 threads.
+// channel panels and pixel counts on either side of the 4- and 8-pixel
+// tiles, the in-place 1x1 path and the depthwise kernel, at 1-5 threads;
+// and the pool kernels, padded and at stride 1, against the direct loop
+// with a NaN among their inputs.
 
 bool same_bits(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
@@ -214,12 +219,24 @@ bool same_values(const Tensor& a, const Tensor& b) {
   return true;
 }
 
+/// `got` against the oracle's `region` of `node`: a conv by float ==, a
+/// pool (whose oracle is the loop it replaced) byte for byte.
+bool matches_oracle(const nn::Node& node, const Placed& piece,
+                    const Region& region, const Tensor& got) {
+  if (node.kind == nn::OpKind::Conv) {
+    return same_values(got, conv_oracle(node, piece, region));
+  }
+  return same_bits(got, pool_oracle(node, piece, region));
+}
+
 struct DispatchCase {
   const char* name;
   Shape input;
   int out_channels;
   nn::Window window;
   int groups;
+  /// Conv, MaxPool or AvgPool (a pool takes kh, sh and ph of `window`).
+  nn::OpKind op = nn::OpKind::Conv;
 };
 
 void PrintTo(const DispatchCase& c, std::ostream* os) { *os << c.name; }
@@ -230,14 +247,24 @@ TEST_P(ConvDispatch, MatchesOracleBitIdenticalAcrossThreadsAndPieces) {
   const DispatchCase param = GetParam();
   nn::Graph g;
   const int in = g.add_input(param.input);
-  const int conv = g.add_conv_window(in, param.out_channels, param.window,
-                                     /*fused_relu=*/param.out_channels % 2 == 1,
-                                     "", param.groups);
+  const nn::Window& win = param.window;
+  const int conv =
+      param.op == nn::OpKind::MaxPool
+          ? g.add_maxpool(in, win.kh, win.sh, win.ph)
+      : param.op == nn::OpKind::AvgPool
+          ? g.add_avgpool(in, win.kh, win.sh, win.ph)
+          : g.add_conv_window(in, param.out_channels, win,
+                              /*fused_relu=*/param.out_channels % 2 == 1, "",
+                              param.groups);
   g.finalize();
   Rng rng(4242);
   g.randomize_weights(rng);
   Tensor input(g.input_shape());
   input.randomize(rng);
+  if (param.op != nn::OpKind::Conv) {
+    input.at(0, param.input.height / 2, param.input.width / 2) =
+        std::numeric_limits<float>::quiet_NaN();
+  }
   const nn::Node& node = g.node(conv);
   const Shape out = node.out_shape;
   const Region full = Region::full(out.height, out.width);
@@ -245,8 +272,14 @@ TEST_P(ConvDispatch, MatchesOracleBitIdenticalAcrossThreadsAndPieces) {
                      input};
 
   const Tensor reference = served(node, whole, full, {.threads = 1});
-  ASSERT_TRUE(same_values(reference, conv_oracle(node, whole, full)))
-      << param.name;
+  ASSERT_TRUE(matches_oracle(node, whole, full, reference)) << param.name;
+  if (param.op == nn::OpKind::Conv) {
+    // The 4-lane tiles alone give the same bytes as the served path.
+    EXPECT_TRUE(same_bits(reference,
+                          nn::detail::conv(node, whole, full, {.threads = 2},
+                                           nn::detail::conv_gemm_baseline)))
+        << param.name << " baseline tiles";
+  }
 
   // Row pieces of 1 and 2 rows, a 1-column piece, an interior window.
   std::vector<Region> regions{
@@ -262,7 +295,7 @@ TEST_P(ConvDispatch, MatchesOracleBitIdenticalAcrossThreadsAndPieces) {
     const Region need = nn::input_region(g, conv, region);
     const Placed piece{need, extract(input, need)};
     const Tensor expected = extract(reference, region);
-    ASSERT_TRUE(same_values(expected, conv_oracle(node, piece, region)))
+    ASSERT_TRUE(matches_oracle(node, piece, region, expected))
         << param.name << " region " << region;
     for (const int threads : {1, 2, 3, 4, 5}) {
       EXPECT_TRUE(same_bits(expected,
@@ -336,8 +369,133 @@ INSTANTIATE_TEST_SUITE_P(
         DispatchCase{"groups4", {16, 7, 9}, 20, nn::Window::square(3, 2, 1),
                      4},
         DispatchCase{"groups4_map2", {64, 2, 2}, 64,
-                     nn::Window::square(3, 1, 1), 4}),
+                     nn::Window::square(3, 1, 1), 4},
+        // Output maps of 1, 4, 7, 8, 9, 15, 16, 17 and 33 pixels: under,
+        // at and over the 4- and 8-pixel tiles, 13 channels (a partial
+        // panel).
+        DispatchCase{"px1", {6, 1, 1}, 13, nn::Window::square(3, 1, 1), 1},
+        DispatchCase{"px4", {6, 2, 2}, 13, nn::Window::square(3, 1, 1), 1},
+        DispatchCase{"px7", {6, 1, 7}, 13, nn::Window::square(3, 1, 1), 1},
+        DispatchCase{"px8", {6, 2, 4}, 13, nn::Window::square(3, 1, 1), 1},
+        DispatchCase{"px9", {6, 3, 3}, 13, nn::Window::square(3, 1, 1), 1},
+        DispatchCase{"px15", {6, 3, 5}, 13, nn::Window::square(3, 1, 1), 1},
+        DispatchCase{"px16", {6, 4, 4}, 13, nn::Window::square(3, 1, 1), 1},
+        DispatchCase{"px17", {6, 1, 17}, 13, nn::Window::square(3, 1, 1), 1},
+        DispatchCase{"px33", {6, 3, 11}, 13, nn::Window::square(3, 1, 1), 1},
+        // Pools: padded, stride 1, strided, and a 2x2 map split by channel.
+        DispatchCase{"maxpool_k3s1p1", {6, 9, 11}, 6,
+                     nn::Window::square(3, 1, 1), 1, nn::OpKind::MaxPool},
+        DispatchCase{"avgpool_k3s1p1", {6, 9, 11}, 6,
+                     nn::Window::square(3, 1, 1), 1, nn::OpKind::AvgPool},
+        DispatchCase{"maxpool_k2s1", {5, 10, 13}, 5,
+                     nn::Window::square(2, 1, 0), 1, nn::OpKind::MaxPool},
+        DispatchCase{"maxpool_k2s2", {8, 12, 12}, 8,
+                     nn::Window::square(2, 2, 0), 1, nn::OpKind::MaxPool},
+        DispatchCase{"maxpool_k3s2p1", {5, 13, 12}, 5,
+                     nn::Window::square(3, 2, 1), 1, nn::OpKind::MaxPool},
+        DispatchCase{"avgpool_k5s2p2", {4, 10, 9}, 4,
+                     nn::Window::square(5, 2, 2), 1, nn::OpKind::AvgPool},
+        DispatchCase{"avgpool_map2", {64, 2, 2}, 64,
+                     nn::Window::square(3, 1, 1), 1, nn::OpKind::AvgPool}),
     [](const auto& info) { return info.param.name; });
+
+
+// ---------------------------------------------------------------------------
+// The two tile widths on one host: the 8-pixel AVX2 tiles and the 4-pixel
+// baseline tiles must give the same bytes, panel by panel and layer by
+// layer.
+
+#if PICO_NN_AVX2_TILES
+
+TEST(ConvTileWidths, Avx2MatchesBaselineOnRandomPanels) {
+  if (!nn::detail::cpu_has_avx2()) GTEST_SKIP() << "CPU without AVX2";
+  Rng rng(8088);
+  for (const int n : {1, 4, 7, 8, 9, 15, 16, 17, 33}) {
+    for (const int oc : {1, 5, 13, 21}) {
+      for (const bool relu : {false, true}) {
+        const int k = rng.uniform_int(1, 40);
+        // Patch and output rows with and without padding past n.
+        const int ldb = n + rng.uniform_int(0, 3);
+        const int ldo = n + rng.uniform_int(0, 3);
+        const auto random_floats = [&](int count) {
+          std::vector<float> v(static_cast<std::size_t>(count));
+          for (float& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+          return v;
+        };
+        const std::vector<float> w = random_floats(oc * k);
+        const std::vector<float> b = random_floats(k * ldb);
+        const std::vector<float> bias = random_floats(oc);
+        // Both outputs start as the same bytes, so lanes past n must be
+        // left alone by both.
+        std::vector<float> narrow = random_floats(oc * ldo);
+        std::vector<float> wide = narrow;
+        nn::detail::conv_gemm_baseline(w.data(), k, b.data(), ldb, n,
+                                       narrow.data(), ldo, oc, bias.data(),
+                                       relu);
+        nn::detail::conv_gemm_avx2(w.data(), k, b.data(), ldb, n, wide.data(),
+                                   ldo, oc, bias.data(), relu);
+        EXPECT_EQ(std::memcmp(narrow.data(), wide.data(),
+                              narrow.size() * sizeof(float)),
+                  0)
+            << "n=" << n << " oc=" << oc << " k=" << k << " relu=" << relu;
+      }
+    }
+  }
+}
+
+/// Every layer output of `g` on `input`, each conv's matrix product on
+/// `gemm`.
+std::vector<Tensor> layers_on(const nn::Graph& g, const Tensor& input,
+                              nn::detail::ConvGemmFn gemm) {
+  std::vector<Placed> values{
+      {Region::full(input.shape().height, input.shape().width), input}};
+  for (int id = 1; id < g.size(); ++id) {
+    const nn::Node& node = g.node(id);
+    std::vector<Placed> pieces;
+    for (const int producer : node.inputs) {
+      pieces.push_back(values[static_cast<std::size_t>(producer)]);
+    }
+    const Region full = Region::full(node.out_shape.height,
+                                     node.out_shape.width);
+    values.push_back(
+        {full, node.kind == nn::OpKind::Conv
+                   ? nn::detail::conv(node, pieces[0], full, {}, gemm)
+                   : nn::compute_node(node, pieces, full)});
+  }
+  std::vector<Tensor> tensors;
+  for (Placed& value : values) tensors.push_back(std::move(value.tensor));
+  return tensors;
+}
+
+TEST(ConvTileWidths, ServedModelLayersMatchAcrossPaths) {
+  if (!nn::detail::cpu_has_avx2()) GTEST_SKIP() << "CPU without AVX2";
+  const struct {
+    models::ModelId model;
+    int input_size;
+  } served_models[] = {{models::ModelId::Yolov2, 64},
+                       {models::ModelId::MobileNetV1, 160}};
+  for (const auto& [model, input_size] : served_models) {
+    nn::Graph g = models::build(model, {.input_size = input_size});
+    Rng rng(606);
+    g.randomize_weights(rng);
+    Tensor input(g.input_shape());
+    input.randomize(rng);
+    const std::vector<Tensor> narrow =
+        layers_on(g, input, nn::detail::conv_gemm_baseline);
+    const std::vector<Tensor> wide =
+        layers_on(g, input, nn::detail::conv_gemm_avx2);
+    const std::vector<Tensor> executed = nn::execute_all(g, input);
+    for (int id = 1; id < g.size(); ++id) {
+      const auto i = static_cast<std::size_t>(id);
+      EXPECT_TRUE(same_bits(narrow[i], wide[i]))
+          << models::model_name(model) << " layer " << g.node(id).name;
+      EXPECT_TRUE(same_bits(narrow[i], executed[i]))
+          << models::model_name(model) << " layer " << g.node(id).name << " as served";
+    }
+  }
+}
+
+#endif  // PICO_NN_AVX2_TILES
 
 }  // namespace
 }  // namespace pico

@@ -1,5 +1,5 @@
-// Reference convolution for the kernel tests: the textbook direct loop,
-// serial, one output scalar at a time.
+// Reference convolution and pooling for the kernel tests: textbook direct
+// loops, serial, one output scalar at a time.
 //
 // It accumulates over (ic, ky, kx) ascending from 0, adds the bias last and
 // then applies the fused ReLU: the order nn::compute_node keeps for every
@@ -8,7 +8,9 @@
 // even where two sums differ only in the sign of zero.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 
 #include "nn/graph.hpp"
 #include "tensor/slice.hpp"
@@ -51,6 +53,48 @@ inline Tensor conv_oracle(const nn::Node& node, const Placed& in,
         if (node.fused_relu && acc < 0.0f) acc = 0.0f;
         out.at(oc, oy - out_region.row_begin, ox - out_region.col_begin) =
             acc;
+      }
+    }
+  }
+  return out;
+}
+
+/// `out_region` of max- or average-pool node `node`, from `in`: every tap
+/// tested against the map border, max and sum both folded in (ky, kx)
+/// order, the average divided by the in-map tap count.  The served pool
+/// must match it bit for bit.
+inline Tensor pool_oracle(const nn::Node& node, const Placed& in,
+                          const Region& out_region) {
+  const Shape in_shape = node.in_shape;
+  const bool is_max = node.kind == nn::OpKind::MaxPool;
+  const int kh = node.win.kh, kw = node.win.kw;
+  const int sh = node.win.sh, sw = node.win.sw;
+  const int ph = node.win.ph, pw = node.win.pw;
+
+  Tensor out({in_shape.channels, out_region.height(), out_region.width()});
+  for (int c = 0; c < in_shape.channels; ++c) {
+    for (int oy = out_region.row_begin; oy < out_region.row_end; ++oy) {
+      const int iy0 = oy * sh - ph;
+      for (int ox = out_region.col_begin; ox < out_region.col_end; ++ox) {
+        const int ix0 = ox * sw - pw;
+        float best = -std::numeric_limits<float>::infinity();
+        float sum = 0.0f;
+        int taps = 0;
+        for (int ky = 0; ky < kh; ++ky) {
+          const int iy = iy0 + ky;
+          if (iy < 0 || iy >= in_shape.height) continue;
+          for (int kx = 0; kx < kw; ++kx) {
+            const int ix = ix0 + kx;
+            if (ix < 0 || ix >= in_shape.width) continue;
+            const float v = in.tensor.at(c, iy - in.region.row_begin,
+                                         ix - in.region.col_begin);
+            best = std::max(best, v);
+            sum += v;
+            ++taps;
+          }
+        }
+        out.at(c, oy - out_region.row_begin, ox - out_region.col_begin) =
+            is_max ? best : sum / static_cast<float>(taps);
       }
     }
   }
