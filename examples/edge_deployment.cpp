@@ -4,9 +4,10 @@
 //   1. load a network from a Darknet-style .cfg file,
 //   2. load (here: generate + save + reload) its weights from a binary blob,
 //   3. plan both a one-stage and a pipelined partition for the cluster,
-//   4. serve frames through the wall-clock AdaptiveRuntime, which counts
-//      arrivals per window, estimates the rate (Eq. 15) and switches
-//      between the schemes with drain-then-swap,
+//   4. serve frames through an EpochRuntime over those two candidates: it
+//      counts arrivals per wall-clock window, estimates the rate (Eq. 15)
+//      and switches between the schemes with drain-then-swap (the same
+//      rebuild path that replans over the survivors if a device dies),
 //   5. verify every produced result against single-device inference.
 //
 //   ./examples/edge_deployment [path/to/model.cfg]
@@ -14,7 +15,6 @@
 #include <cstdio>
 #include <thread>
 
-#include "adaptive/selector.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "core/planner.hpp"
@@ -22,7 +22,7 @@
 #include "nn/executor.hpp"
 #include "nn/weights_io.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/adaptive_runtime.hpp"
+#include "runtime/epoch_runtime.hpp"
 
 int main(int argc, char** argv) {
   using namespace pico;
@@ -49,26 +49,31 @@ int main(int argc, char** argv) {
   std::printf("weights blob: %lld parameters round-tripped\n",
               deployed.parameter_count());
 
-  // 3. Candidate plans for the paper's heterogeneous cluster.
+  // 3. Candidate plans for the paper's heterogeneous cluster: the runtime
+  //    asks for them again over the survivors if a device dies.
   const Cluster cluster = Cluster::paper_heterogeneous();
   NetworkModel network;  // 50 Mbps WiFi
-  const auto ofl = plan(deployed, cluster, network, Scheme::OptimalFused);
-  const auto pico = plan(deployed, cluster, network, Scheme::Pico);
-  const std::vector<adaptive::Candidate> candidates{
-      adaptive::make_candidate(deployed, cluster, network, ofl),
-      adaptive::make_candidate(deployed, cluster, network, pico)};
+  runtime::EpochOptions options;
+  options.network = network;
+  options.replan = [&network](const nn::Graph& graph, const Cluster& members) {
+    return std::vector<partition::Plan>{
+        plan(graph, members, network, Scheme::OptimalFused),
+        plan(graph, members, network, Scheme::Pico)};
+  };
+  options.beta = 0.8;
+  options.window = 0.1;
+  runtime::EpochRuntime rt(deployed, cluster, options);
+  const std::vector<adaptive::Candidate> candidates = rt.candidates();
   std::printf("OFL: period %.3fs | PICO: period %.3fs over %d stages\n",
               candidates[0].period, candidates[1].period,
-              pico.stage_count());
+              candidates[1].plan.stage_count());
 
-  // 4. Serve a quiet phase then a burst through the adaptive runtime.
+  // 4. Serve a quiet phase then a burst.
   Rng rng(7);
   Tensor frame(deployed.input_shape());
   frame.randomize(rng);
   const Tensor reference = nn::execute(deployed, frame);
 
-  runtime::AdaptiveRuntime rt(deployed, candidates,
-                              {.beta = 0.8, .window = 0.1, .runtime = {}});
   int exact = 0, total = 0;
   // Quiet: a frame every ~150 ms.
   for (int i = 0; i < 4; ++i) {

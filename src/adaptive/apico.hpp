@@ -44,9 +44,7 @@ class ApicoController {
   const Candidate& decide(int window_arrivals);
 
   /// Same, but from an already-computed arrival rate (tasks/second) — used
-  /// when the measurement interval differs from the configured window
-  /// (e.g. the wall-clock AdaptiveRuntime catching up after a blocked
-  /// producer).
+  /// when the measurement interval differs from the configured window.
   const Candidate& decide_rate(double measured_rate);
 
   double estimated_rate() const { return estimator_.rate(); }

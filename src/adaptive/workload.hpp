@@ -2,6 +2,8 @@
 // the measured arrival rate.  β is the weight of the newest observation.
 #pragma once
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/types.hpp"
 
@@ -19,6 +21,14 @@ class EwmaEstimator {
   void observe(double measured_rate) {
     PICO_CHECK(measured_rate >= 0.0);
     rate_ = beta_ * measured_rate + (1.0 - beta_) * rate_;
+  }
+
+  /// Fold in `windows` consecutive windows that all measured the same rate:
+  /// the closed form of calling observe(measured_rate) `windows` times.
+  void observe(double measured_rate, double windows) {
+    PICO_CHECK(measured_rate >= 0.0 && windows >= 1.0);
+    rate_ = measured_rate +
+            std::pow(1.0 - beta_, windows) * (rate_ - measured_rate);
   }
 
   double rate() const { return rate_; }

@@ -22,11 +22,7 @@ void SpanBuffer::flush_to_tracer() {
 
 namespace {
 
-// v1 lacks the per-span sequence number; v2 adds it.  The encoder always
-// emits v2, the decoder accepts both (v1 spans land with seq = -1) so a
-// new coordinator still reads an old worker's buffer.
-constexpr std::uint32_t kSpanMagicV1 = 0x50535031;  // "PSP1"
-constexpr std::uint32_t kSpanMagicV2 = 0x50535032;  // "PSP2" (adds seq)
+constexpr std::uint32_t kSpanMagic = 0x50535032;  // "PSP2"
 
 template <typename T>
 void put(std::vector<std::uint8_t>& out, T value) {
@@ -65,7 +61,7 @@ std::string take_string(const std::uint8_t*& cursor, const std::uint8_t* end) {
 
 std::vector<std::uint8_t> encode_spans(const std::vector<SpanRecord>& spans) {
   std::vector<std::uint8_t> out;
-  put<std::uint32_t>(out, kSpanMagicV2);
+  put<std::uint32_t>(out, kSpanMagic);
   put<std::uint64_t>(out, spans.size());
   for (const SpanRecord& span : spans) {
     put_string(out, span.name);
@@ -89,10 +85,7 @@ std::vector<SpanRecord> decode_spans(const std::uint8_t* data,
   const std::uint8_t* cursor = data;
   const std::uint8_t* end = data + size;
   const auto magic = take<std::uint32_t>(cursor, end);
-  if (magic != kSpanMagicV1 && magic != kSpanMagicV2) {
-    throw TransportError("bad span buffer magic");
-  }
-  const bool has_seq = magic == kSpanMagicV2;
+  if (magic != kSpanMagic) throw TransportError("bad span buffer magic");
   const auto count = take<std::uint64_t>(cursor, end);
   // Each span costs at least the fixed fields; cheap sanity bound so a
   // corrupt count cannot drive a huge allocation.
@@ -107,7 +100,7 @@ std::vector<SpanRecord> decode_spans(const std::uint8_t* data,
     span.start_ns = take<std::int64_t>(cursor, end);
     span.duration_ns = take<std::int64_t>(cursor, end);
     span.task_id = take<std::int64_t>(cursor, end);
-    if (has_seq) span.seq = take<std::int64_t>(cursor, end);
+    span.seq = take<std::int64_t>(cursor, end);
     const auto args = take<std::uint32_t>(cursor, end);
     // Decoded count: each arg costs at least two length-prefixed strings
     // (8 bytes), so bound it by the bytes actually left in the buffer.
@@ -151,8 +144,6 @@ WorkerTelemetry harvest_worker(const HarvestEndpoint& endpoint,
       TraceChunk chunk = endpoint.fetch_trace_chunk(endpoint.trace_cursor);
       out.spans = std::move(chunk.spans);
       out.next_cursor = chunk.next;
-    } else if (endpoint.fetch_trace) {
-      out.spans = endpoint.fetch_trace();
     }
     // Black box right after the trace, same rationale: the last EventDump
     // to succeed before a death is exactly the retained flight recording.

@@ -89,8 +89,8 @@ class SpanBuffer {
     return out;
   }
 
-  /// Move out everything still buffered, acknowledged or not (legacy
-  /// full-drain semantics; the shutdown flush path).
+  /// Move out everything still buffered, acknowledged or not (the
+  /// shutdown flush path).
   std::vector<SpanRecord> drain() {
     MutexLock lock(mutex_);
     std::vector<SpanRecord> out;
@@ -136,9 +136,8 @@ class SpanBuffer {
 };
 
 /// Binary encoding of a span list — the TraceDump wire payload ("PSP2",
-/// which adds the per-span sequence number; "PSP1" buffers from older
-/// workers still decode, their spans carrying seq = -1).
-/// decode_spans throws TransportError on a malformed buffer.
+/// each span carrying its sequence number).  decode_spans throws
+/// TransportError on a malformed buffer or any other magic.
 std::vector<std::uint8_t> encode_spans(const std::vector<SpanRecord>& spans);
 std::vector<SpanRecord> decode_spans(const std::uint8_t* data,
                                      std::size_t size);
@@ -155,14 +154,14 @@ struct WorkerTelemetry {
   std::string metrics_text;     ///< worker registry, Prometheus exposition
   std::vector<SpanRecord> spans;  ///< rebased worker spans
   /// Cursor to present on the next harvest round (acks `spans`); equals the
-  /// request cursor when the trace fetch failed or the peer is pre-cursor.
+  /// request cursor when the trace fetch failed.
   std::uint64_t next_cursor = 0;
   /// Flight-recorder events pulled this round (EventDump), timestamps
   /// rebased like spans.  The continuously refreshed copy is the black box
   /// the harvester retains for a device that later dies.
   std::vector<EventRecord> events;
   /// Event cursor for the next round; request cursor when the fetch failed
-  /// or the peer predates EventDump (PIC3 and older).
+  /// or the endpoint has no EventDump pull.
   std::uint64_t next_event_cursor = 0;
   int rounds = 0;  ///< harvest rounds folded into this entry (see add())
 };
@@ -178,9 +177,6 @@ struct HarvestEndpoint {
   /// Cursor-aware trace pull: send a TraceDump carrying the given cursor,
   /// return the decoded chunk.
   std::function<TraceChunk(std::uint64_t cursor)> fetch_trace_chunk;
-  /// Legacy full-drain pull (pre-cursor peers / simple tests).  Used only
-  /// when fetch_trace_chunk is unset.
-  std::function<std::vector<SpanRecord>()> fetch_trace;
   /// Cursor-aware black-box pull: send an EventDump carrying the cursor,
   /// return the decoded chunk.  Unset = peer without the verb (no events).
   std::function<EventChunk(std::uint64_t cursor)> fetch_event_chunk;
@@ -203,7 +199,7 @@ WorkerTelemetry harvest_worker(const HarvestEndpoint& endpoint,
                                int clock_pings = 4);
 
 /// Accumulates WorkerTelemetry across harvest rounds, workers and (for the
-/// adaptive runtime) plan switches.  Guarded: the harvester thread adds
+/// epoch runtime) plan switches.  Guarded: the harvester thread adds
 /// while report/teardown threads read snapshots.
 class ClusterTelemetry {
  public:

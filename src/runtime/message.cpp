@@ -11,15 +11,22 @@ namespace pico::runtime {
 
 namespace {
 
-constexpr std::uint32_t kMagicV1 = 0x50494331;  // "PIC1" (compute_seconds)
-constexpr std::uint32_t kMagicV2 = 0x50494332;  // "PIC2" (trace ctx + clocks)
-constexpr std::uint32_t kMagicV3 = 0x50494333;  // "PIC3" (span cursors)
-constexpr std::uint32_t kMagicV4 = 0x50494334;  // "PIC4" (EventDump verb)
+constexpr std::uint32_t kMagic = 0x50494334;  // "PIC4"
+
+/// Encoded bytes before the blob: magic, type, task id, stage/first/last,
+/// compute seconds, trace context (2 × 8), five timestamps, two span
+/// cursors, two regions (2 × 16) and the blob length.
+constexpr std::size_t kHeaderBytes =
+    4 + 4 + 8 + 3 * 4 + 8 + 2 * 8 + 5 * 8 + 2 * 8 + 2 * 16 + 8;
+/// Tensor shape (three int32 extents) between the blob and the payload.
+constexpr std::size_t kShapeBytes = 3 * 4;
+/// The stream transports' length prefix in front of every frame.
+constexpr std::size_t kLengthPrefixBytes = sizeof(std::uint64_t);
 
 /// Render a magic word the way it appears as ASCII on the wire
 /// (little-endian byte order), falling back to hex for unprintable bytes.
 std::string magic_name(std::uint32_t magic) {
-  // Most-significant byte first: 0x50494332 reads back as "PIC2".
+  // Most-significant byte first: 0x50494334 reads back as "PIC4".
   char chars[5] = {};
   for (int i = 0; i < 4; ++i) {
     chars[i] = static_cast<char>((magic >> (8 * (3 - i))) & 0xff);
@@ -66,14 +73,23 @@ Region get_region(const std::uint8_t*& cursor, const std::uint8_t* end) {
   return r;
 }
 
+std::size_t encoded_bytes(const Message& message) {
+  return kHeaderBytes + message.blob.size() + kShapeBytes +
+         static_cast<std::size_t>(message.tensor.shape().elements()) * 4;
+}
+
 }  // namespace
+
+std::int64_t frame_bytes(const Message& message) {
+  return static_cast<std::int64_t>(kLengthPrefixBytes +
+                                   encoded_bytes(message));
+}
 
 std::vector<std::uint8_t> serialize(const Message& message) {
   std::vector<std::uint8_t> out;
   const Shape shape = message.tensor.shape();
-  out.reserve(128 + message.blob.size() +
-              static_cast<std::size_t>(shape.elements()) * 4);
-  put<std::uint32_t>(out, kMagicV4);
+  out.reserve(encoded_bytes(message));
+  put<std::uint32_t>(out, kMagic);
   put<std::uint32_t>(out, static_cast<std::uint32_t>(message.type));
   put<std::int64_t>(out, message.task_id);
   put<std::int32_t>(out, message.stage_index);
@@ -114,15 +130,13 @@ Message deserialize(const std::uint8_t* data, std::size_t size) {
   const std::uint8_t* cursor = data;
   const std::uint8_t* end = data + size;
   const auto magic = get<std::uint32_t>(cursor, end);
-  if (magic != kMagicV4 && magic != kMagicV3 && magic != kMagicV2) {
-    // Version skew (e.g. a "PIC1" build on the other end) is a transport
-    // condition the serve loop handles gracefully, not a fatal invariant.
-    const char* hint = magic == kMagicV1 ? " (v1 peer?)" : "";
+  if (magic != kMagic) {
+    // Version skew (a build speaking another version on the other end) is a
+    // transport condition the serve loop handles gracefully, not a fatal
+    // invariant.
     throw TransportError("unsupported message version \"" +
-                         magic_name(magic) + "\"" + hint +
-                         "; this build speaks \"" + magic_name(kMagicV4) +
-                         "\" (and reads \"" + magic_name(kMagicV3) +
-                         "\" and \"" + magic_name(kMagicV2) + "\")");
+                         magic_name(magic) + "\"; this build speaks \"" +
+                         magic_name(kMagic) + "\"");
   }
   Message message;
   message.type = static_cast<MessageType>(get<std::uint32_t>(cursor, end));
@@ -138,13 +152,11 @@ Message deserialize(const std::uint8_t* data, std::size_t size) {
   message.t_send_ns = get<std::int64_t>(cursor, end);
   message.t_compute_start_ns = get<std::int64_t>(cursor, end);
   message.t_compute_end_ns = get<std::int64_t>(cursor, end);
-  if (magic == kMagicV4 || magic == kMagicV3) {
-    // The cursors are wire-controlled but used only for comparison and
-    // clamped pruning (SpanBuffer::ack bounds the erase by the buffer
-    // size), never as an allocation size or subscript.
-    message.span_cursor = get<std::uint64_t>(cursor, end);
-    message.span_cursor_base = get<std::uint64_t>(cursor, end);
-  }
+  // The cursors are wire-controlled but used only for comparison and
+  // clamped pruning (SpanBuffer::ack bounds the erase by the buffer size),
+  // never as an allocation size or subscript.
+  message.span_cursor = get<std::uint64_t>(cursor, end);
+  message.span_cursor_base = get<std::uint64_t>(cursor, end);
   message.in_region = get_region(cursor, end);
   message.out_region = get_region(cursor, end);
   const auto blob_size = get<std::uint64_t>(cursor, end);

@@ -6,28 +6,20 @@
 // the length-prefixed binary encoding used by the TCP transport (the
 // in-process transport moves Messages directly).
 //
-// Wire format "PIC4" (v4).  v2 extended the v1 frame with distributed
-// observability fields: a propagated trace context (trace_id + parent span)
-// so workers can open real spans under the coordinator's trace, four
-// NTP-style timestamps (t1..t3 on the wire, t4 taken by the receiver) so
-// per-device clock offsets can be estimated from ordinary request/response
-// traffic, worker-side compute start/end instants, and an opaque blob used
-// by the control-plane messages (MetricsDump / TraceDump payloads).  v3
-// added the continuous-harvest span cursors to the TraceDump exchange
-// (span_cursor / span_cursor_base) so repeated mid-run harvests never
-// double-count a span — see obs/remote.hpp for the protocol.  v4 adds the
-// EventDump verb (flight-recorder black-box harvest, obs/flight_recorder.hpp)
-// reusing the same cursor fields as event cursors; the frame layout is
-// byte-identical to v3, the magic bump only announces the new verb.
+// Wire format "PIC4".  Besides the data-plane fields a frame carries the
+// distributed-observability fields: a propagated trace context (trace_id +
+// parent span) so workers can open real spans under the coordinator's
+// trace, NTP-style timestamps (t1..t3 on the wire, t4 taken by the
+// receiver) so per-device clock offsets can be estimated from ordinary
+// request/response traffic, worker-side compute start/end instants, the
+// continuous-harvest span cursors (span_cursor / span_cursor_base, see
+// obs/remote.hpp) and an opaque blob used by the control-plane messages
+// (MetricsDump / TraceDump / EventDump payloads).
 //
-// Version gating: the encoder always emits PIC4.  The decoder accepts PIC4,
-// PIC3 and PIC2 — a v3 frame decodes identically (it just never carries an
-// EventDump), and a v2 frame decodes with both cursors zero, which is
-// exactly the legacy full-drain semantics, so a new coordinator still
-// drives an old worker.  Anything else — including a v1 "PIC1" frame — is
-// rejected with a TransportError naming both the received and the
-// supported versions, so a version-skewed peer ends a serve loop
-// gracefully instead of tearing the process down.
+// Version gating: exactly one version is spoken.  Any other leading magic
+// is rejected with a TransportError naming both the received and the
+// supported version, so a version-skewed peer ends a serve loop gracefully
+// instead of tearing the process down.
 #pragma once
 
 #include <cstdint>
@@ -42,13 +34,13 @@ enum class MessageType : std::uint32_t {
   WorkRequest = 1,
   WorkResult = 2,
   Shutdown = 3,
-  // Control plane (v2).  Each *Dump type doubles as request (empty blob,
+  // Control plane.  Each *Dump type doubles as request (empty blob,
   // coordinator -> worker) and reply (filled blob, worker -> coordinator).
   Ping = 4,         ///< clock probe: carries t1 (sender clock)
   Pong = 5,         ///< clock reply: echoes t1, adds t2/t3 (worker clock)
   MetricsDump = 6,  ///< reply blob: worker registry, Prometheus text
   TraceDump = 7,    ///< reply blob: worker span buffer (encode_spans)
-  EventDump = 8,    ///< reply blob: worker flight recorder (encode_events, v4)
+  EventDump = 8,    ///< reply blob: worker flight recorder (encode_events)
 };
 
 struct Message {
@@ -63,7 +55,7 @@ struct Message {
   /// A duration, not an instant — meaningful without any clock sync.
   double compute_seconds = 0.0;
 
-  // --- distributed trace context (v2) --------------------------------------
+  // --- distributed trace context -------------------------------------------
   /// 0 = no trace context (tracing disabled at the sender).  Nonzero on a
   /// WorkRequest asks the worker to record real spans under this trace.
   std::uint64_t trace_id = 0;
@@ -71,7 +63,7 @@ struct Message {
   /// (see pipeline.cpp: derived from task id + stage).  Echoed in replies.
   std::uint64_t parent_span = 0;
 
-  // --- clock-offset timestamps (v2) ----------------------------------------
+  // --- clock-offset timestamps ---------------------------------------------
   // NTP-style quadruple: t1 = origin send instant (origin clock), t2 = peer
   // receive instant, t3 = peer reply-send instant (both peer clock); the
   // origin takes t4 locally when the reply lands.  Requests carry t1;
@@ -84,13 +76,13 @@ struct Message {
   std::int64_t t_compute_start_ns = 0;
   std::int64_t t_compute_end_ns = 0;
 
-  // --- span cursors (v3, continuous harvest) -------------------------------
+  // --- span cursors (continuous harvest) ----------------------------------
   /// TraceDump request: first span sequence wanted — and an ack: the worker
   /// prunes every buffered span with seq below it.  TraceDump reply: the
   /// cursor to present next round (seq one past the last span included).
   /// Shutdown: final ack, so the worker's tracer flush skips everything a
-  /// harvest round already delivered.  0 = legacy full-drain (v2 peer).
-  /// EventDump (v4) reuses the pair as *event* cursors: the request carries
+  /// harvest round already delivered.  0 = from the first span.
+  /// EventDump reuses the pair as *event* cursors: the request carries
   /// the last seen event seq, the reply the chunk's `next` cursor.
   std::uint64_t span_cursor = 0;
   /// TraceDump reply: sequence of the first span included (lets the
@@ -108,12 +100,13 @@ struct Message {
 };
 
 /// Binary encoding (no framing — the transport adds the length prefix).
-/// Always emits the current version ("PIC4").
 std::vector<std::uint8_t> serialize(const Message& message);
-/// Decodes a PIC4 or PIC3 frame (identical layout), or a PIC2 frame from an
-/// older peer (cursors then default to zero).  Throws TransportError for any
-/// other version magic (e.g. a v1 "PIC1" peer) and InvariantError for a
-/// truncated/corrupt frame.
+/// Bytes one message occupies on a stream transport: the 8-byte length
+/// prefix plus serialize()'s output, computed without serializing.  Both
+/// transports count ConnectionStats bytes with it.
+std::int64_t frame_bytes(const Message& message);
+/// Decodes a PIC4 frame.  Throws TransportError for any other version magic
+/// and InvariantError for a truncated/corrupt frame.
 Message deserialize(const std::uint8_t* data, std::size_t size);
 
 }  // namespace pico::runtime

@@ -279,7 +279,7 @@ struct PipelineRuntime::Impl {
 
   // Failure ledger: first device whose connection failed poisons the whole
   // runtime (any_failed) — coordinators fail tasks fast instead of touching
-  // a half-dead cluster, and the owner (ResilientRuntime) rebuilds over the
+  // a half-dead cluster, and the owner (EpochRuntime) rebuilds over the
   // survivors.  The map keeps the first-failure reason per device.
   mutable Mutex failed_mutex;
   std::map<DeviceId, std::string> failed PICO_GUARDED_BY(failed_mutex);

@@ -35,7 +35,7 @@ namespace pico::runtime {
 /// runtime was using it.  Carries the device so a recovery layer can replan
 /// around it; the first DeviceFailure poisons the runtime — every
 /// subsequent task fails fast with this exception until the owner rebuilds
-/// over the survivors (see ResilientRuntime).
+/// over the survivors (see EpochRuntime).
 class DeviceFailure : public TransportError {
  public:
   DeviceFailure(DeviceId device, const std::string& what)

@@ -32,18 +32,6 @@ void atomic_add_seconds(std::atomic<double>& target, double delta) {
   }
 }
 
-/// Serialized size of a message without actually serializing it (used by the
-/// in-process transport, which moves Messages by value).
-std::int64_t wire_size(const Message& message) {
-  // Mirrors serialize() (PIC2): fixed header (magic, type, ids, compute
-  // seconds, trace context, five timestamps), regions, blob length + blob,
-  // shape, tensor payload.
-  constexpr std::int64_t kHeader =
-      4 + 4 + 8 + 4 + 4 + 4 + 8 + (8 + 8) + 5 * 8 + 32 + 8 + 12;
-  return kHeader + static_cast<std::int64_t>(message.blob.size()) +
-         static_cast<std::int64_t>(message.tensor.shape().elements()) * 4;
-}
-
 // ---------------------------------------------------------------------------
 // In-process transport
 // ---------------------------------------------------------------------------
@@ -58,7 +46,8 @@ class InProcConnection : public Connection {
 
   void send(const Message& message) override {
     frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(wire_size(message), std::memory_order_relaxed);
+    // Moved by value, counted as the frame TCP would carry.
+    bytes_sent_.fetch_add(frame_bytes(message), std::memory_order_relaxed);
     tx_->push(message);
   }
 
@@ -77,7 +66,7 @@ class InProcConnection : public Connection {
       throw TransportError("in-process peer closed");
     }
     frames_received_.fetch_add(1, std::memory_order_relaxed);
-    bytes_received_.fetch_add(wire_size(*message),
+    bytes_received_.fetch_add(frame_bytes(*message),
                               std::memory_order_relaxed);
     return std::move(*message);
   }
@@ -242,14 +231,13 @@ class TcpConnection : public Connection {
     const std::uint64_t length = payload.size();
     write_all(fd_, &length, sizeof(length), timeout_ms, false);
     write_all(fd_, payload.data(), payload.size(), timeout_ms, true);
-    const std::int64_t frame_bytes =
-        static_cast<std::int64_t>(sizeof(length) + payload.size());
+    const std::int64_t bytes = frame_bytes(message);
     frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(frame_bytes, std::memory_order_relaxed);
+    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
     atomic_add_seconds(
         send_seconds_,
         static_cast<double>(obs::Tracer::now_ns() - start_ns) / 1e9);
-    span.arg("bytes", std::to_string(frame_bytes));
+    span.arg("bytes", std::to_string(bytes));
   }
 
   Message recv() override {

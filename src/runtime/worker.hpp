@@ -3,7 +3,7 @@
 // over its input piece (real tensor arithmetic via execute_segment) and
 // returning the produced output piece.  Exits on Shutdown or peer close.
 //
-// Besides the data plane, the serve loop answers the PIC2 control plane:
+// Besides the data plane, the serve loop answers the control plane:
 // Ping (clock-offset probe: replies with the worker-clock t2/t3 pair),
 // MetricsDump (ships the worker's metrics registry as Prometheus text) and
 // TraceDump (drains the worker-side span buffer).  WorkRequests carrying a

@@ -1,16 +1,16 @@
-// AdaptiveRuntime: APICO on the real threaded runtime — scheme switching
-// under wall-clock workload changes, with bit-exact results throughout.
+// APICO on the real threaded runtime: an EpochRuntime over {OFL, PICO}
+// switching scheme under wall-clock workload changes, with bit-exact
+// results throughout.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
-#include "adaptive/selector.hpp"
 #include "common/rng.hpp"
 #include "core/planner.hpp"
 #include "models/zoo.hpp"
 #include "nn/executor.hpp"
-#include "runtime/adaptive_runtime.hpp"
+#include "runtime/epoch_runtime.hpp"
 
 namespace pico {
 namespace {
@@ -34,14 +34,19 @@ class AdaptiveRuntimeFixture : public ::testing::Test {
     reference_ = nn::execute(graph_, input_);
   }
 
-  std::vector<adaptive::Candidate> candidates() const {
-    const NetworkModel net = test_network();
-    return {adaptive::make_candidate(
-                graph_, cluster_, net,
-                plan(graph_, cluster_, net, Scheme::OptimalFused)),
-            adaptive::make_candidate(
-                graph_, cluster_, net,
-                plan(graph_, cluster_, net, Scheme::Pico))};
+  /// {OFL, PICO} over whatever membership the runtime plans for.
+  static runtime::EpochOptions apico(double beta, Seconds window) {
+    runtime::EpochOptions options;
+    options.network = test_network();
+    options.replan = [](const nn::Graph& graph, const Cluster& cluster) {
+      const NetworkModel net = test_network();
+      return std::vector<partition::Plan>{
+          plan(graph, cluster, net, Scheme::OptimalFused),
+          plan(graph, cluster, net, Scheme::Pico)};
+    };
+    options.beta = beta;
+    options.window = window;
+    return options;
   }
 
   nn::Graph graph_;
@@ -51,7 +56,7 @@ class AdaptiveRuntimeFixture : public ::testing::Test {
 };
 
 TEST_F(AdaptiveRuntimeFixture, StartsOnFirstCandidateAndComputesExactly) {
-  runtime::AdaptiveRuntime rt(graph_, candidates(), {.window = 1000.0, .runtime = {}});
+  runtime::EpochRuntime rt(graph_, cluster_, apico(0.3, 1000.0));
   EXPECT_EQ(rt.current_scheme(), "OFL");
   for (int i = 0; i < 3; ++i) {
     ASSERT_FLOAT_EQ(Tensor::max_abs_diff(rt.infer(input_), reference_),
@@ -63,10 +68,10 @@ TEST_F(AdaptiveRuntimeFixture, StartsOnFirstCandidateAndComputesExactly) {
 TEST_F(AdaptiveRuntimeFixture, SwitchesToPipelineUnderBurst) {
   // Tiny window so the controller re-evaluates quickly; β = 1 so one busy
   // window is enough to flip the estimate.
-  runtime::AdaptiveRuntime rt(graph_, candidates(),
-                              {.beta = 1.0, .window = 0.05, .runtime = {}});
+  runtime::EpochRuntime rt(graph_, cluster_, apico(1.0, 0.05));
   // Burst: submit a batch, wait past a window boundary, submit again so the
-  // re-evaluation (which runs on the submit path) observes the high rate.
+  // re-evaluation (on the submit path or the completer's idle wakeup)
+  // observes the high rate.
   std::vector<std::future<Tensor>> futures;
   for (int i = 0; i < 40; ++i) futures.push_back(rt.submit(input_));
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
@@ -95,8 +100,7 @@ TEST_F(AdaptiveRuntimeFixture, SwitchesToPipelineUnderBurst) {
 }
 
 TEST_F(AdaptiveRuntimeFixture, FallsBackToOneStageWhenIdle) {
-  runtime::AdaptiveRuntime rt(graph_, candidates(),
-                              {.beta = 1.0, .window = 0.05, .runtime = {}});
+  runtime::EpochRuntime rt(graph_, cluster_, apico(1.0, 0.05));
   std::vector<std::future<Tensor>> futures;
   for (int i = 0; i < 40; ++i) futures.push_back(rt.submit(input_));
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
@@ -114,8 +118,30 @@ TEST_F(AdaptiveRuntimeFixture, FallsBackToOneStageWhenIdle) {
   EXPECT_GE(rt.switches(), 2);
 }
 
+TEST_F(AdaptiveRuntimeFixture, IdleDecayReturnsToOneStageWithoutSubmit) {
+  runtime::EpochRuntime rt(graph_, cluster_, apico(1.0, 0.05));
+  std::vector<std::future<Tensor>> futures;
+  for (int i = 0; i < 40; ++i) futures.push_back(rt.submit(input_));
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  futures.push_back(rt.submit(input_));
+  for (auto& f : futures) f.get();
+  if (rt.current_scheme() != "PICO") {
+    GTEST_SKIP() << "machine served the burst below the switching rate";
+  }
+
+  // No submit() from here on: only the completer's idle wakeup can lower
+  // λ̂, and it must bring the runtime back to the one-stage scheme.
+  const auto t0 = std::chrono::steady_clock::now();
+  while (rt.current_scheme() != "OFL" &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(rt.current_scheme(), "OFL");
+  EXPECT_GE(rt.switches(), 2);
+}
+
 TEST_F(AdaptiveRuntimeFixture, ShutdownIdempotentAndRejectsSubmit) {
-  runtime::AdaptiveRuntime rt(graph_, candidates(), {.window = 1000.0, .runtime = {}});
+  runtime::EpochRuntime rt(graph_, cluster_, apico(0.3, 1000.0));
   rt.infer(input_);
   rt.shutdown();
   rt.shutdown();

@@ -1,7 +1,8 @@
 // Worker-death chaos tests: transport deadlines (TimeoutError paths),
-// heartbeat failure detection, and the ResilientRuntime recovery loop —
-// kill or wedge a worker mid-stream in a loopback cluster and assert that
-// every accepted inference still completes bit-exactly over the survivors.
+// heartbeat failure detection, and the EpochRuntime recovery path — kill or
+// wedge a worker mid-stream in a loopback cluster and assert that every
+// accepted inference still completes bit-exactly over the survivors, also
+// while APICO switches scheme.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -24,9 +25,10 @@
 #include "nn/executor.hpp"
 #include "obs/flight_recorder.hpp"
 #include "partition/pico_dp.hpp"
+#include "partition/schemes.hpp"
 #include "runtime/message.hpp"
 #include "runtime/pipeline.hpp"
-#include "runtime/resilient_runtime.hpp"
+#include "runtime/epoch_runtime.hpp"
 #include "runtime/transport.hpp"
 #include "runtime/worker.hpp"
 
@@ -323,11 +325,11 @@ TEST(Heartbeat, DeviceDownEventCarriesHarvestedBlackBox) {
 }
 
 // ---------------------------------------------------------------------------
-// ResilientRuntime recovery
+// EpochRuntime recovery
 // ---------------------------------------------------------------------------
 
-runtime::ResilientOptions chaos_options(runtime::RuntimeOptions runtime_opts) {
-  runtime::ResilientOptions options;
+runtime::EpochOptions chaos_options(runtime::RuntimeOptions runtime_opts) {
+  runtime::EpochOptions options;
   options.runtime = runtime_opts;
   options.network = test_network();
   return options;
@@ -357,19 +359,33 @@ TEST(Churn, HardKillMidStreamRecoversAndCompletesEveryTask) {
   runtime::RuntimeOptions runtime_opts;
   runtime_opts.transport = runtime::TransportKind::Tcp;  // loopback cluster
   runtime_opts.harvest_ms = 50;
-  runtime::ResilientRuntime rt(graph, cluster,
-                               chaos_options(runtime_opts));
+  runtime::EpochRuntime rt(graph, cluster, chaos_options(runtime_opts));
   const DeviceId victim = pick_victim(rt.plan());
   // The victim drops its connection on its 3rd request — mid-stream, with
   // tasks queued behind it.  EOF detection needs no timeout.
   runtime::set_debug_worker_kill_after(victim, 3);
 
+  const std::uint64_t seq_floor = obs::FlightRecorder::global().next_seq();
   std::vector<std::future<Tensor>> futures;
   for (int i = 0; i < kTasks; ++i) futures.push_back(rt.submit(inputs[i]));
   for (int i = 0; i < kTasks; ++i) {
     const Tensor out = futures[i].get();  // throws if any task was dropped
     EXPECT_FLOAT_EQ(Tensor::max_abs_diff(out, references[i]), 0.0f)
         << "task " << i;
+  }
+  // The retired epoch names its first dead device (a1, -1 for none).
+  if (obs::FlightRecorder::global().enabled()) {
+    bool retired_on_victim = false;
+    for (const obs::EventRecord& event :
+         obs::FlightRecorder::global().snapshot()) {
+      if (event.seq >= seq_floor &&
+          event.code == static_cast<std::uint16_t>(
+                            obs::EventCode::EpochRetire) &&
+          event.args[1] == victim) {
+        retired_on_victim = true;
+      }
+    }
+    EXPECT_TRUE(retired_on_victim);
   }
 
   EXPECT_GE(rt.replans(), 1);
@@ -405,8 +421,7 @@ TEST(Churn, HungWorkerDetectedByDeadlineWithinBound) {
   runtime_opts.net_timeout_ms = 750;  // hang recovery needs a deadline
   runtime_opts.harvest_ms = 150;
   runtime_opts.heartbeat_missed_rounds = 2;
-  runtime::ResilientRuntime rt(graph, cluster,
-                               chaos_options(runtime_opts));
+  runtime::EpochRuntime rt(graph, cluster, chaos_options(runtime_opts));
   const DeviceId victim = pick_victim(rt.plan());
 
   Tensor input(graph.input_shape());
@@ -455,8 +470,7 @@ TEST(Churn, RejoinRestoresFullMembership) {
 
   runtime::RuntimeOptions runtime_opts;
   runtime_opts.transport = runtime::TransportKind::InProcess;
-  runtime::ResilientRuntime rt(graph, cluster,
-                               chaos_options(runtime_opts));
+  runtime::EpochRuntime rt(graph, cluster, chaos_options(runtime_opts));
   const DeviceId victim = pick_victim(rt.plan());
   runtime::set_debug_worker_kill_after(victim, 1);
   EXPECT_FLOAT_EQ(Tensor::max_abs_diff(rt.infer(input), reference), 0.0f);
@@ -495,8 +509,7 @@ TEST(Churn, ClusterExhaustionFailsTasksInsteadOfHanging) {
 
   runtime::RuntimeOptions runtime_opts;
   runtime_opts.transport = runtime::TransportKind::InProcess;
-  runtime::ResilientRuntime rt(graph, cluster,
-                               chaos_options(runtime_opts));
+  runtime::EpochRuntime rt(graph, cluster, chaos_options(runtime_opts));
   // Every device dies on its first request, epoch after epoch, until no
   // survivor remains to plan over.
   for (const Device& device : cluster.devices()) {
@@ -516,6 +529,103 @@ TEST(Churn, ClusterExhaustionFailsTasksInsteadOfHanging) {
   // The runtime is terminal, not wedged: a late submit fails fast too.
   EXPECT_THROW(rt.submit(input).get(), TransportError);
   rt.shutdown();
+}
+
+// APICO and recovery compose: an {OFL, PICO} runtime loses a device in
+// mid-stream, replans both candidates over the survivors, keeps switching
+// scheme afterwards, and returns every accepted task bit-exactly.
+TEST(Churn, SchemeSwitchingSurvivesMidStreamDeath) {
+  FaultGuard guard;
+  nn::Graph graph = models::toy_mnist({.input_size = 32});
+  Rng rng(91);
+  graph.randomize_weights(rng);
+  const Cluster cluster = Cluster::paper_heterogeneous();
+  Tensor input(graph.input_shape());
+  input.randomize(rng);
+  const Tensor reference = nn::execute(graph, input);
+
+  runtime::EpochOptions options = chaos_options(runtime::RuntimeOptions{});
+  options.replan = [](const nn::Graph& g, const Cluster& members) {
+    return std::vector<partition::Plan>{
+        partition::ofl_plan(g, members, test_network()),
+        partition::pico_plan(g, members, test_network())};
+  };
+  options.beta = 1.0;
+  options.window = 0.05;
+  runtime::EpochRuntime rt(graph, cluster, options);
+
+  // A burst, a window boundary, one more arrival: the busy window lifts λ̂
+  // past the crossover.  Every result must be exact.
+  auto burst = [&] {
+    std::vector<std::future<Tensor>> futures;
+    for (int i = 0; i < 40; ++i) futures.push_back(rt.submit(input));
+    std::this_thread::sleep_for(50ms + 30ms);
+    futures.push_back(rt.submit(input));
+    for (auto& future : futures) {
+      EXPECT_FLOAT_EQ(Tensor::max_abs_diff(future.get(), reference), 0.0f);
+    }
+  };
+  burst();
+  if (rt.current_scheme() != "PICO") {
+    GTEST_SKIP() << "machine served the burst below the switching rate";
+  }
+
+  // Kill a device both candidates use, so the death lands whichever scheme
+  // is active when its second request arrives.
+  const std::vector<adaptive::Candidate> before = rt.candidates();
+  ASSERT_EQ(before.size(), 2u);
+  auto uses = [](const partition::Plan& plan, DeviceId device) {
+    for (const auto& stage : plan.stages) {
+      for (const auto& slice : stage.assignments) {
+        if (slice.device == device) return true;
+      }
+    }
+    return false;
+  };
+  DeviceId victim = -1;
+  for (const Device& device : cluster.devices()) {
+    if (uses(before[0].plan, device.id) && uses(before[1].plan, device.id)) {
+      victim = device.id;
+      break;
+    }
+  }
+  ASSERT_GE(victim, 0) << "OFL and PICO share no device";
+  runtime::set_debug_worker_kill_after(victim, 2);
+  burst();
+
+  EXPECT_EQ(rt.dead_devices(), std::vector<DeviceId>{victim});
+  EXPECT_GE(rt.replans(), 1);
+  EXPECT_EQ(rt.survivors().size(), cluster.size() - 1);
+  const std::vector<adaptive::Candidate> after = rt.candidates();
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[0].plan.scheme, before[0].plan.scheme);
+  EXPECT_EQ(after[1].plan.scheme, before[1].plan.scheme);
+  for (const adaptive::Candidate& candidate : after) {
+    EXPECT_FALSE(uses(candidate.plan, victim))
+        << candidate.plan.scheme << " replanned over a dead device";
+  }
+
+  // Still adaptive after the death: with no arrivals λ̂ decays and the
+  // runtime moves to the other scheme over the survivors.
+  const int switches_after_death = rt.switches();
+  const std::string from = rt.current_scheme();
+  if (from == "PICO") {
+    const auto t0 = Clock::now();
+    while (rt.current_scheme() == "PICO" && Clock::now() - t0 < 5s) {
+      std::this_thread::sleep_for(10ms);
+    }
+  } else {
+    burst();
+    if (rt.current_scheme() == from) {
+      GTEST_SKIP() << "machine served the burst below the switching rate";
+    }
+  }
+  EXPECT_NE(rt.current_scheme(), from);
+  EXPECT_GT(rt.switches(), switches_after_death);
+  EXPECT_FALSE(uses(rt.plan(), victim));
+  EXPECT_FLOAT_EQ(Tensor::max_abs_diff(rt.infer(input), reference), 0.0f);
+  rt.shutdown();
+  EXPECT_EQ(rt.dead_devices(), std::vector<DeviceId>{victim});
 }
 
 }  // namespace

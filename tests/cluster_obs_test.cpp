@@ -234,10 +234,13 @@ TEST(HarvestWorker, PingsRebaseAndPullDumps) {
   endpoint.fetch_metrics = [] {
     return std::string("pico_worker_requests_total 4\n");
   };
-  endpoint.fetch_trace = [] {
-    std::vector<obs::SpanRecord> spans = {sample_span("compute", 0)};
-    spans[0].start_ns = 500'000 + kOffset;  // worker-clock instant
-    return spans;
+  endpoint.fetch_trace_chunk = [](std::uint64_t cursor) {
+    obs::TraceChunk chunk;
+    chunk.spans = {sample_span("compute", 0)};
+    chunk.spans[0].start_ns = 500'000 + kOffset;  // worker-clock instant
+    chunk.base = cursor;
+    chunk.next = cursor + 1;
+    return chunk;
   };
   const obs::WorkerTelemetry telemetry = obs::harvest_worker(endpoint, 6);
   EXPECT_TRUE(telemetry.reachable);
@@ -257,7 +260,7 @@ TEST(HarvestWorker, DeadWorkerReportsUnreachable) {
     throw TransportError("peer closed");
   };
   endpoint.fetch_metrics = [] { return std::string(); };
-  endpoint.fetch_trace = [] { return std::vector<obs::SpanRecord>(); };
+  endpoint.fetch_trace_chunk = [](std::uint64_t) { return obs::TraceChunk(); };
   const obs::WorkerTelemetry telemetry = obs::harvest_worker(endpoint, 3);
   EXPECT_FALSE(telemetry.reachable);
   EXPECT_EQ(telemetry.device, 2);

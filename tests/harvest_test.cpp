@@ -1,5 +1,5 @@
 // Continuous telemetry harvest: the span-cursor protocol (SpanBuffer,
-// PSP2/PSP1 codec, at-least-once dedup in harvest_worker), the rolling
+// PSP2 codec, at-least-once dedup in harvest_worker), the rolling
 // windows, the straggler / model-drift detectors, and a loopback two-worker
 // integration run with one artificially slowed device proving that mid-run
 // harvest rounds deliver monotone, non-duplicated span streams and that the
@@ -126,7 +126,7 @@ TEST(SpanBufferCursor, DrainAdvancesBasePastEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Span codec: PSP2 carries seq; PSP1 buffers still decode (seq = -1)
+// Span codec: PSP2 carries seq; any other magic is rejected
 // ---------------------------------------------------------------------------
 
 TEST(SpanCodecV2, SequenceNumbersSurviveTheRoundTrip) {
@@ -140,43 +140,13 @@ TEST(SpanCodecV2, SequenceNumbersSurviveTheRoundTrip) {
   EXPECT_EQ(decoded[1].seq, 42);
 }
 
-// Hand-rolled PSP1 buffer, exactly what a pre-cursor worker would emit:
-// same layout as PSP2 minus the per-span seq field.
-template <typename T>
-void put(std::vector<std::uint8_t>& out, T value) {
-  const auto offset = out.size();
-  out.resize(offset + sizeof(T));
-  std::memcpy(out.data() + offset, &value, sizeof(T));
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& text) {
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(text.size()));
-  const auto offset = out.size();
-  out.resize(offset + text.size());
-  if (!text.empty()) std::memcpy(out.data() + offset, text.data(), text.size());
-}
-
-TEST(SpanCodecV2, LegacyPsp1BufferDecodesWithSeqMinusOne) {
-  std::vector<std::uint8_t> bytes;
-  put<std::uint32_t>(bytes, 0x50535031u);  // "PSP1"
-  put<std::uint64_t>(bytes, 1u);
-  put_string(bytes, "compute");
-  put_string(bytes, "worker");
-  put<std::int64_t>(bytes, obs::device_track(2));
-  put<std::int64_t>(bytes, 777);   // start_ns
-  put<std::int64_t>(bytes, 55);    // duration_ns
-  put<std::int64_t>(bytes, 9);     // task_id
-  put<std::uint32_t>(bytes, 1u);   // one arg
-  put_string(bytes, "stage");
-  put_string(bytes, "0");
-  const auto decoded = obs::decode_spans(bytes.data(), bytes.size());
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0].name, "compute");
-  EXPECT_EQ(decoded[0].start_ns, 777);
-  EXPECT_EQ(decoded[0].task_id, 9);
-  EXPECT_EQ(decoded[0].seq, -1) << "v1 spans carry no sequence number";
-  ASSERT_EQ(decoded[0].args.size(), 1u);
-  EXPECT_EQ(decoded[0].args[0].first, "stage");
+TEST(SpanCodecV2, OtherMagicRejected) {
+  // A "PSP1" buffer (the layout without per-span seq) is rejected like any
+  // other foreign magic.
+  auto bytes = obs::encode_spans({make_span("x", 1)});
+  const std::uint32_t psp1 = 0x50535031u;
+  std::memcpy(bytes.data(), &psp1, sizeof(psp1));
+  EXPECT_THROW(obs::decode_spans(bytes.data(), bytes.size()), TransportError);
 }
 
 // ---------------------------------------------------------------------------

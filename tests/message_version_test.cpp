@@ -1,16 +1,14 @@
-// Wire-protocol version negotiation (PIC4, reading PIC3 and PIC2).
+// Wire-protocol version gating and frame accounting.
 //
-// The decoder is version-gated on the leading magic: this build emits
-// "PIC4" (adds the EventDump verb; frame layout identical to v3) and still
-// reads "PIC3" (span cursors) and "PIC2" — a v2 frame decodes with both
-// cursors zero, which is exactly the legacy full-drain TraceDump
-// semantics.  Anything else — most importantly a "PIC1" frame from an older
-// build — must be rejected with a TransportError naming both the received
-// and the supported versions.  TransportError is the serve loop's
+// The decoder is version-gated on the leading magic: this build speaks
+// exactly "PIC4".  Anything else — an older "PIC3"/"PIC2"/"PIC1" build or
+// a foreign stream — must be rejected with a TransportError naming both the
+// received and the supported versions.  TransportError is the serve loop's
 // graceful-exit signal, so a version-skewed peer ends the session cleanly
 // instead of the worker dying on a garbled frame mid-decode.  Truncation of
 // an otherwise well-versioned frame stays an InvariantError (corruption,
-// not skew).
+// not skew).  frame_bytes() is the one size formula both transports count
+// ConnectionStats with.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -70,28 +68,10 @@ std::vector<std::uint8_t> with_magic(const Message& message,
   return bytes;
 }
 
-/// Byte offset of the v3 span-cursor pair in a serialized frame: the fixed
+/// Byte offset of the span-cursor pair in a serialized frame: the fixed
 /// header before it is magic(4) + type(4) + task(8) + stage/first/last(12)
 /// + compute(8) + trace ctx(16) + five timestamps(40).
 constexpr std::size_t kCursorOffset = 92;
-
-/// Rewrite a serialized PIC4 frame as the PIC2 frame an older build would
-/// have produced: splice out the two span-cursor u64s and patch the magic.
-std::vector<std::uint8_t> as_pic2(std::vector<std::uint8_t> bytes) {
-  EXPECT_GE(bytes.size(), kCursorOffset + 16);
-  bytes.erase(bytes.begin() + kCursorOffset,
-              bytes.begin() + kCursorOffset + 16);
-  const std::uint32_t magic = 0x50494332u;
-  std::memcpy(bytes.data(), &magic, sizeof(magic));
-  return bytes;
-}
-
-/// A PIC3 frame is byte-identical to PIC4 apart from the magic: patch only.
-std::vector<std::uint8_t> as_pic3(std::vector<std::uint8_t> bytes) {
-  const std::uint32_t magic = 0x50494333u;
-  std::memcpy(bytes.data(), &magic, sizeof(magic));
-  return bytes;
-}
 
 TEST(MessageVersion, RoundTripPreservesV2AndV3Fields) {
   const Message original = sample_request();
@@ -117,20 +97,6 @@ TEST(MessageVersion, EmitsPic4Magic) {
   std::uint32_t magic = 0;
   std::memcpy(&magic, bytes.data(), sizeof(magic));
   EXPECT_EQ(magic, 0x50494334u);  // 'P','I','C','4' little-endian
-}
-
-TEST(MessageVersion, Pic3FrameDecodesWithCursorsIntact) {
-  // A v3 peer (span cursors, no EventDump verb) shares the v4 frame layout;
-  // its frames must keep decoding untouched.
-  const Message original = sample_request();
-  const auto bytes = as_pic3(runtime::serialize(original));
-  const Message decoded = runtime::deserialize(bytes.data(), bytes.size());
-  EXPECT_EQ(decoded.span_cursor, original.span_cursor);
-  EXPECT_EQ(decoded.span_cursor_base, original.span_cursor_base);
-  EXPECT_EQ(decoded.task_id, original.task_id);
-  EXPECT_EQ(decoded.blob, original.blob);
-  EXPECT_FLOAT_EQ(Tensor::max_abs_diff(decoded.tensor, original.tensor),
-                  0.0f);
 }
 
 TEST(MessageVersion, EventDumpCursorsRoundTrip) {
@@ -165,23 +131,22 @@ TEST(MessageVersion, Pic1RejectionNamesPic4Too) {
   }
 }
 
-TEST(MessageVersion, Pic2FrameStillDecodesWithZeroCursors) {
-  // Backwards compatibility: a v2 peer's frame (no cursor fields) must
-  // decode into legacy full-drain semantics — both cursors zero — with
-  // every other field intact.
-  const Message original = sample_request();
-  const auto bytes = as_pic2(runtime::serialize(original));
-  const Message decoded = runtime::deserialize(bytes.data(), bytes.size());
-  EXPECT_EQ(decoded.span_cursor, 0u);
-  EXPECT_EQ(decoded.span_cursor_base, 0u);
-  EXPECT_EQ(decoded.task_id, original.task_id);
-  EXPECT_EQ(decoded.trace_id, original.trace_id);
-  EXPECT_EQ(decoded.t_compute_end_ns, original.t_compute_end_ns);
-  EXPECT_EQ(decoded.blob, original.blob);
-  EXPECT_EQ(decoded.in_region, original.in_region);
-  EXPECT_EQ(decoded.out_region, original.out_region);
-  EXPECT_FLOAT_EQ(Tensor::max_abs_diff(decoded.tensor, original.tensor),
-                  0.0f);
+TEST(MessageVersion, OlderVersionsRejectedAsVersionSkew) {
+  // Older versions get the same graceful rejection as any other magic,
+  // naming what was received and what this build speaks.
+  for (const std::uint32_t magic : {0x50494332u, 0x50494333u}) {
+    const auto bytes = with_magic(sample_request(), magic);
+    try {
+      runtime::deserialize(bytes.data(), bytes.size());
+      FAIL() << "frame with magic " << std::hex << magic << " was accepted";
+    } catch (const TransportError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(magic == 0x50494332u ? "PIC2" : "PIC3"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("PIC4"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(MessageVersion, Pic1FrameRejectedNamingBothVersions) {
@@ -193,8 +158,7 @@ TEST(MessageVersion, Pic1FrameRejectedNamingBothVersions) {
   } catch (const TransportError& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("PIC1"), std::string::npos) << what;
-    EXPECT_NE(what.find("PIC3"), std::string::npos) << what;
-    EXPECT_NE(what.find("PIC2"), std::string::npos) << what;
+    EXPECT_NE(what.find("PIC4"), std::string::npos) << what;
   }
 }
 
@@ -208,7 +172,7 @@ TEST(MessageVersion, ForeignMagicRejectedAsTransportError) {
   } catch (const TransportError& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("0x"), std::string::npos) << what;
-    EXPECT_NE(what.find("PIC3"), std::string::npos) << what;
+    EXPECT_NE(what.find("PIC4"), std::string::npos) << what;
   }
 }
 
@@ -299,6 +263,61 @@ TEST(MessageVersion, ServeLoopEndsGracefullyOnVersionSkew) {
   // A graceful serve-loop exit closes the connection; join proves no hang.
   server.join();
   ::close(fd);
+}
+
+// --- frame accounting --------------------------------------------------
+
+TEST(FrameBytes, MatchesLengthPrefixPlusSerializedSize) {
+  Message empty;
+  empty.type = MessageType::Ping;
+  for (const Message& message : {sample_request(), empty}) {
+    EXPECT_EQ(runtime::frame_bytes(message),
+              static_cast<std::int64_t>(sizeof(std::uint64_t) +
+                                        runtime::serialize(message).size()));
+  }
+}
+
+/// Send `message` one way over `sender` and receive it on `receiver`.
+void send_one(runtime::Connection& sender, runtime::Connection& receiver,
+              const Message& message) {
+  std::thread reader([&receiver] { receiver.recv(); });
+  sender.send(message);
+  reader.join();
+}
+
+TEST(FrameBytes, InProcAndTcpConnectionStatsAgree) {
+  // One WorkRequest (tensor + blob) and one control-plane reply (blob only)
+  // each way: both transports must count the same bytes per frame.
+  Message request = sample_request();
+  Message reply;
+  reply.type = MessageType::TraceDump;
+  reply.blob = {1, 2, 3, 4, 5};
+
+  auto [inproc_a, inproc_b] = runtime::make_inproc_pair();
+  runtime::TcpListener listener;
+  std::unique_ptr<runtime::Connection> tcp_b;
+  std::thread acceptor([&] { tcp_b = listener.accept(); });
+  std::unique_ptr<runtime::Connection> tcp_a =
+      runtime::tcp_connect(listener.port());
+  acceptor.join();
+
+  for (auto [a, b] : {std::pair{inproc_a.get(), inproc_b.get()},
+                      std::pair{tcp_a.get(), tcp_b.get()}}) {
+    send_one(*a, *b, request);
+    send_one(*b, *a, reply);
+  }
+  const std::int64_t expected =
+      runtime::frame_bytes(request) + runtime::frame_bytes(reply);
+  for (runtime::Connection* end : {inproc_a.get(), tcp_a.get()}) {
+    const runtime::ConnectionStats stats = end->stats();
+    EXPECT_EQ(stats.frames_sent, 1);
+    EXPECT_EQ(stats.frames_received, 1);
+    EXPECT_EQ(stats.bytes_sent + stats.bytes_received, expected);
+  }
+  EXPECT_EQ(inproc_a->stats().bytes_sent, tcp_a->stats().bytes_sent);
+  EXPECT_EQ(inproc_a->stats().bytes_received, tcp_a->stats().bytes_received);
+  EXPECT_EQ(inproc_b->stats().bytes_sent, tcp_b->stats().bytes_sent);
+  EXPECT_EQ(inproc_b->stats().bytes_received, tcp_b->stats().bytes_received);
 }
 
 }  // namespace

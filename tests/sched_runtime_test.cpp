@@ -1,8 +1,8 @@
 // Systematic exploration of the real runtime's concurrency: BoundedQueue
 // producer/consumer/close races (exhaustively, with a preemption bound),
 // ThreadPool nested self-drain and exception propagation, Worker shutdown
-// racing a control-plane harvester, and the pipeline/adaptive runtimes
-// under randomized (PCT) schedules.  Pinned decision strings at the bottom
+// racing a control-plane harvester, and the pipeline/epoch runtimes under
+// randomized (PCT) schedules.  Pinned decision strings at the bottom
 // keep the nastiest interleavings we found as replayable regressions.
 // Only built under the PICO_SCHED preset.
 
@@ -22,11 +22,10 @@
 #include "models/zoo.hpp"
 #include "nn/executor.hpp"
 #include "obs/flight_recorder.hpp"
-#include "runtime/adaptive_runtime.hpp"
+#include "runtime/epoch_runtime.hpp"
 #include "runtime/channel.hpp"
 #include "runtime/message.hpp"
 #include "runtime/pipeline.hpp"
-#include "runtime/resilient_runtime.hpp"
 #include "runtime/transport.hpp"
 #include "runtime/worker.hpp"
 #include "sched/explorer.hpp"
@@ -325,7 +324,7 @@ TEST(SchedRuntime, RecorderWriteVsDumpVsHarvestRandom) {
   expect_clean(result, "recorder-harvest");
 }
 
-// --- Pipeline / adaptive runtime ---------------------------------------
+// --- Pipeline / epoch runtime ------------------------------------------
 
 NetworkModel test_network() {
   NetworkModel net;
@@ -364,6 +363,26 @@ struct RuntimeModel {
     return *model;
   }
 };
+
+/// APICO over whatever membership the runtime plans for: {OFL, PICO}, a
+/// nanosecond window (a re-evaluation on practically every submit) and no
+/// idle wakeup — under exploration CondVar::wait_for models an immediate
+/// timeout, so a polling completer would spin.
+runtime::EpochOptions apico_options() {
+  runtime::EpochOptions options;
+  options.runtime = runtime::RuntimeOptions{.harvest_pings = 1};
+  options.network = test_network();
+  options.replan = [](const nn::Graph& graph, const Cluster& cluster) {
+    const NetworkModel net = test_network();
+    return std::vector<partition::Plan>{
+        plan(graph, cluster, net, Scheme::OptimalFused),
+        plan(graph, cluster, net, Scheme::Pico)};
+  };
+  options.beta = 1.0;
+  options.window = 1e-9;
+  options.liveness_poll_ms = 0;
+  return options;
+}
 
 // Real inferences racing the drain: submit, shutdown (which joins every
 // coordinator and worker under the model), then collect the futures —
@@ -449,11 +468,8 @@ TEST(SchedRuntime, HarvestVsSubmitVsShutdownRandom) {
 // races the tasks still inside the active PipelineRuntime.
 void adaptive_body() {
   const RuntimeModel& model = RuntimeModel::get();
-  auto* rt = new runtime::AdaptiveRuntime(
-      model.graph, model.candidates,
-      {.beta = 1.0,
-       .window = 1e-9,
-       .runtime = runtime::RuntimeOptions{.harvest_pings = 1}});
+  auto* rt = new runtime::EpochRuntime(model.graph, model.cluster,
+                                       apico_options());
   auto futures = new std::vector<std::future<Tensor>>;
   for (int i = 0; i < 3; ++i) futures->push_back(rt->submit(model.input));
   rt->shutdown();
@@ -481,7 +497,7 @@ TEST(SchedRuntime, AdaptiveSwitchVsInFlightRandom) {
 // A chaos thread arms a hard kill on the plan's first device at an
 // arbitrary schedule point while two inferences flow.  Depending on the
 // interleaving the kill lands before, between, or after the tasks — or
-// never fires — and under every schedule the resilient layer must deliver
+// never fires — and under every schedule the epoch runtime must deliver
 // both results bit-exactly: recovery replans over the survivors and no
 // accepted inference is dropped or corrupted.  No transport deadlines and
 // liveness_poll_ms = 0 (under exploration CondVar::wait_for models an
@@ -490,11 +506,11 @@ TEST(SchedRuntime, AdaptiveSwitchVsInFlightRandom) {
 void churn_body() {
   const RuntimeModel& model = RuntimeModel::get();
   runtime::clear_debug_worker_faults();
-  runtime::ResilientOptions options;
+  runtime::EpochOptions options;
   options.network = test_network();
   options.runtime = runtime::RuntimeOptions{.harvest_pings = 1};
   options.liveness_poll_ms = 0;
-  auto* rt = new runtime::ResilientRuntime(
+  auto* rt = new runtime::EpochRuntime(
       model.graph, Cluster::raspberry_pi({1.2, 0.8}), options);
   const DeviceId victim =
       rt->plan().stages.front().assignments.front().device;
@@ -522,6 +538,44 @@ TEST(SchedRuntime, WorkerDeathVsTrafficRandom) {
   options.max_steps = 2000000;
   sched::ExploreResult result = sched::explore(options, churn_body);
   expect_clean(result, "worker-death");
+}
+
+// A kill armed while a scheme switch drains: the {OFL, PICO} runtime
+// re-evaluates on every submit, so switches and their drains interleave
+// with the traffic, and a chaos thread arms a hard kill on the first
+// plan's first device at an arbitrary schedule point — before, during or
+// after a drain, or never firing.  One rebuild path serves both triggers: under
+// every schedule each accepted inference comes back bit-exactly.
+void switch_death_body() {
+  const RuntimeModel& model = RuntimeModel::get();
+  runtime::clear_debug_worker_faults();
+  auto* rt = new runtime::EpochRuntime(
+      model.graph, Cluster::raspberry_pi({1.2, 0.8}), apico_options());
+  const DeviceId victim =
+      rt->plan().stages.front().assignments.front().device;
+  SchedThread killer(
+      [victim] { runtime::set_debug_worker_kill_after(victim, 1); });
+  auto futures = new std::vector<std::future<Tensor>>;
+  for (int i = 0; i < 3; ++i) futures->push_back(rt->submit(model.input));
+  killer.join();
+  rt->shutdown();
+  for (std::future<Tensor>& f : *futures) {
+    sched::check(Tensor::max_abs_diff(f.get(), model.reference) == 0.0f,
+                 "a death during a switch must never corrupt or drop a task");
+  }
+  runtime::clear_debug_worker_faults();
+  delete futures;
+  delete rt;
+}
+
+TEST(SchedRuntime, WorkerDeathVsSwitchDrainRandom) {
+  sched::ExploreOptions options;
+  options.mode = sched::Mode::Random;
+  options.random_schedules = 6;
+  options.seed = 43;
+  options.max_steps = 2000000;
+  sched::ExploreResult result = sched::explore(options, switch_death_body);
+  expect_clean(result, "switch-death");
 }
 
 // --- pinned schedules --------------------------------------------------

@@ -30,7 +30,7 @@
 // "broken invocation" from "unhealthy cluster".
 //
 // --kill-device drops one worker's connection mid-run (chaos hook) and
-// switches the run onto the resilient runtime: the death is detected,
+// switches the run onto the epoch runtime: the death is detected,
 // recovery replans over the survivors, and every accepted task is still
 // delivered.  --expect-device-down gates that path the same way
 // --expect-straggler gates the straggler detector: exit 2 unless exactly
@@ -64,8 +64,8 @@
 #include "obs/trace.hpp"
 #include "partition/pico_dp.hpp"
 #include "partition/schemes.hpp"
+#include "runtime/epoch_runtime.hpp"
 #include "runtime/pipeline.hpp"
-#include "runtime/resilient_runtime.hpp"
 #include "runtime/worker.hpp"
 
 namespace {
@@ -103,7 +103,7 @@ continuous harvest:
 
 churn:
   --kill-device <id>:<n>  drop device <id>'s connection on its n-th request
-                         (chaos hook).  The run then uses the resilient
+                         (chaos hook).  The run then uses the epoch
                          runtime: the death is detected, recovery replans
                          over the survivors and every accepted task is
                          re-executed — no inference is dropped
@@ -580,7 +580,7 @@ int main(int argc, char** argv) {
     obs::HealthSnapshot health;
     std::vector<pico::DeviceId> dead;
     int replans = 0;
-    // Submit/await/shutdown loop shared by the plain and the resilient
+    // Submit/await/shutdown loop shared by the plain and the epoch
     // runtimes (both expose submit/health/shutdown/cluster_telemetry).
     auto run_tasks = [&](auto& rt) {
       std::vector<std::future<pico::Tensor>> futures;
@@ -611,18 +611,19 @@ int main(int argc, char** argv) {
       health = rt.health();
     };
     if (args.kill_device >= 0) {
-      // Churn mode: arm the chaos hook and run under the resilient runtime
-      // so the death is detected, survivors replanned, and every accepted
-      // task still completes.  Device ids stay in the full-cluster space.
+      // Churn mode: arm the chaos hook and run under the epoch runtime so
+      // the death is detected, survivors replanned, and every accepted task
+      // still completes.  Device ids stay in the full-cluster space.
       runtime::set_debug_worker_kill_after(args.kill_device, args.kill_after);
-      runtime::ResilientOptions resilient;
-      resilient.runtime = options;
-      resilient.network = network;
-      resilient.replan = [&args, &network](const pico::nn::Graph& g,
-                                           const pico::Cluster& survivors) {
-        return make_plan(args, g, survivors, network);
+      runtime::EpochOptions epochs;
+      epochs.runtime = options;
+      epochs.network = network;
+      epochs.replan = [&args, &network](const pico::nn::Graph& g,
+                                        const pico::Cluster& survivors) {
+        return std::vector<pico::partition::Plan>{
+            make_plan(args, g, survivors, network)};
       };
-      runtime::ResilientRuntime rt(graph, cluster, resilient);
+      runtime::EpochRuntime rt(graph, cluster, epochs);
       run_tasks(rt);
       dead = rt.dead_devices();
       replans = rt.replans();
