@@ -2,11 +2,18 @@
 //
 // A WorkRequest carries the input piece a device needs (tensor + its region
 // in the segment-input map) and the output region it must produce; a
-// WorkResult carries the produced piece back.  serialize/deserialize give
-// the length-prefixed binary encoding used by the TCP transport (the
-// in-process transport moves Messages directly).
+// WorkResult carries the produced piece back.
 //
-// Wire format "PIC4".  Besides the data-plane fields a frame carries the
+// Wire format "PIC4".  A frame is [fixed header][blob][shape][payload],
+// behind the stream transports' 8-byte length prefix; the payload is the
+// tensor's elements in CHW order.  One codec serves two paths:
+// serialize/deserialize run it over one contiguous buffer (tests, the
+// replay benchmark), and the TCP transport runs the same encode_header /
+// decode_header / decode_shape steps over the socket, so a payload moves
+// between the wire and tensor storage with no buffer in between.  The
+// in-process transport moves Messages directly.
+//
+// Besides the data-plane fields a frame carries the
 // distributed-observability fields: a propagated trace context (trace_id +
 // parent span) so workers can open real spans under the coordinator's
 // trace, NTP-style timestamps (t1..t3 on the wire, t4 taken by the
@@ -22,6 +29,7 @@
 // instead of tearing the process down.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -99,14 +107,43 @@ struct Message {
   Tensor tensor;      ///< input piece (request) or result piece (result)
 };
 
+/// The stream transports' length prefix in front of every frame.
+inline constexpr std::size_t kLengthPrefixBytes = sizeof(std::uint64_t);
+/// Fixed header: magic, type, task id, stage/first/last, compute seconds,
+/// trace context (2 × 8), five timestamps, two span cursors, two regions
+/// (2 × 16) and the blob length.
+inline constexpr std::size_t kFixedHeaderBytes =
+    4 + 4 + 8 + 3 * 4 + 8 + 2 * 8 + 5 * 8 + 2 * 8 + 2 * 16 + 8;
+/// Tensor shape (three int32 extents) between the blob and the payload.
+inline constexpr std::size_t kShapeBytes = 3 * 4;
+
 /// Binary encoding (no framing — the transport adds the length prefix).
 std::vector<std::uint8_t> serialize(const Message& message);
 /// Bytes one message occupies on a stream transport: the 8-byte length
 /// prefix plus serialize()'s output, computed without serializing.  Both
 /// transports count ConnectionStats bytes with it.
 std::int64_t frame_bytes(const Message& message);
+/// frame_bytes of `header` carrying a tensor of `shape` in place of its own.
+std::int64_t frame_bytes(const Message& header, const Shape& shape);
 /// Decodes a PIC4 frame.  Throws TransportError for any other version magic
 /// and InvariantError for a truncated/corrupt frame.
 Message deserialize(const std::uint8_t* data, std::size_t size);
+
+/// Appends everything a frame carries before its payload — fixed header,
+/// blob and `shape` — to `out`.  `header.tensor` is not read: `shape`
+/// stands for the tensor whose elements follow.
+void encode_header(const Message& header, const Shape& shape,
+                   std::vector<std::uint8_t>& out);
+/// Decodes the fixed header in the first `size` bytes at `data` into `out`
+/// (blob and tensor untouched) and returns the blob length it announces,
+/// unchecked.  Throws TransportError for any other version magic and
+/// InvariantError when `size` < kFixedHeaderBytes.
+std::uint64_t decode_header(const std::uint8_t* data, std::size_t size,
+                            Message& out);
+/// Decodes the kShapeBytes shape bytes at `data`.  Before anything is
+/// allocated from it, throws InvariantError unless every extent is
+/// non-negative and the `payload_bytes` that follow hold exactly
+/// elements() × 4 bytes.
+Shape decode_shape(const std::uint8_t* data, std::uint64_t payload_bytes);
 
 }  // namespace pico::runtime

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -23,7 +22,7 @@
 #include "runtime/channel.hpp"
 #include "runtime/worker.hpp"
 #include "sched/hooks.hpp"
-#include "tensor/slice.hpp"
+#include "tensor/region.hpp"
 
 namespace pico::runtime {
 
@@ -404,15 +403,16 @@ struct PipelineRuntime::Impl {
                                     std::to_string(device) + "): " + why);
   }
 
-  /// send() with failure attribution: any transport error condemns the
-  /// device and resurfaces as DeviceFailure.
-  void guarded_send(DeviceId device, const Message& request) {
+  /// send_piece() with failure attribution: any transport error condemns
+  /// the device and resurfaces as DeviceFailure.
+  void guarded_send(DeviceId device, const Message& header,
+                    const Tensor& source, const Region& region) {
     if (is_failed(device)) {
       throw DeviceFailure(device, "send to failed device " +
                                       std::to_string(device));
     }
     try {
-      connections.at(device)->send(request);
+      connections.at(device)->send_piece(header, source, region);
     } catch (const TransportError& error) {
       note_device_failure(device, error.what());
       throw DeviceFailure(device, "send to device " +
@@ -421,22 +421,22 @@ struct PipelineRuntime::Impl {
     }
   }
 
-  /// Gather-side recv() with failure attribution and stale-frame skipping:
-  /// a scatter aborted mid-gather by another device's death leaves queued
-  /// WorkResults from earlier tasks; drop them until this task's result.
-  Message recv_result(DeviceId device, std::int64_t task_id) {
+  /// Gather-side recv_result() with failure attribution and stale-frame
+  /// skipping: a scatter aborted mid-gather by another device's death
+  /// leaves queued WorkResults from earlier tasks; their payloads are
+  /// dropped until this task's result lands in the slot.
+  Message gather_result(DeviceId device, const ResultSlot& slot) {
     if (is_failed(device)) {
       throw DeviceFailure(device, "recv from failed device " +
                                       std::to_string(device));
     }
     try {
       for (;;) {
-        Message result = connections.at(device)->recv();
-        PICO_CHECK(result.type == MessageType::WorkResult);
-        if (result.task_id == task_id) return result;
+        Message result = connections.at(device)->recv_result(slot);
+        if (result.task_id == slot.task_id) return result;
         PICO_LOG(Warn) << "dropping stale WorkResult for task "
                        << result.task_id << " from device " << device
-                       << " while gathering task " << task_id;
+                       << " while gathering task " << slot.task_id;
       }
     } catch (const TransportError& error) {
       note_device_failure(device, error.what());
@@ -716,9 +716,8 @@ struct PipelineRuntime::Impl {
         request.in_region = in_region;
         request.out_region =
             Region::full(branch_out.height, branch_out.width);
-        request.tensor = extract(input, in_region);
         stamp_request(request, task_id, stage_index);
-        guarded_send(slice.device, request);
+        guarded_send(slice.device, request, input, in_region);
         sent.push_back({slice.device, &branch});
       }
     }
@@ -731,22 +730,19 @@ struct PipelineRuntime::Impl {
     std::map<DeviceId, bool> device_timestamped;
     Tensor out(out_shape);
     for (const Sent& entry : sent) {
-      Message result = recv_result(entry.device, task_id);
+      // Each branch's channels land in place in the concatenated map.
+      const partition::Branch& branch = *entry.branch;
+      ResultSlot slot;
+      slot.task_id = task_id;
+      slot.out_region = Region::full(out_shape.height, out_shape.width);
+      slot.channels = branch.channels;
+      slot.map = &out;
+      slot.channel_offset = branch.channel_offset;
+      const Message result = gather_result(entry.device, slot);
       const std::int64_t t4 = obs::Tracer::now_ns();
       observe_result(stage_index, entry.device, result, t4);
       device_seconds[entry.device] += result.compute_seconds;
       device_timestamped[entry.device] |= result.t_compute_end_ns != 0;
-      const partition::Branch& branch = *entry.branch;
-      PICO_CHECK(result.tensor.shape().channels == branch.channels &&
-                 result.tensor.shape().height == out_shape.height &&
-                 result.tensor.shape().width == out_shape.width);
-      for (int c = 0; c < branch.channels; ++c) {
-        std::memcpy(out.channel(branch.channel_offset + c),
-                    result.tensor.channel(c),
-                    sizeof(float) * static_cast<std::size_t>(
-                                        out_shape.height) *
-                        out_shape.width);
-      }
     }
     double critical = 0.0;
     for (const auto& [device, seconds] : device_seconds) {
@@ -760,7 +756,7 @@ struct PipelineRuntime::Impl {
     return out;
   }
 
-  /// Spatial stage: scatter (haloed) input pieces, gather and stitch.
+  /// Spatial stage: scatter (haloed) input pieces, gather them in place.
   Tensor run_spatial_stage(std::size_t stage_index,
                            const partition::Stage& stage, const Tensor& input,
                            std::int64_t task_id) {
@@ -771,7 +767,8 @@ struct PipelineRuntime::Impl {
     // a concurrent harvest round cannot interleave control-plane frames.
     GateSet gate(gates, stage);
 
-    // Scatter: send each device its (haloed) input piece.
+    // Scatter: send each device its (haloed) input piece, straight from
+    // the stage input.
     const std::int64_t scatter_start = obs::Tracer::now_ns();
     std::vector<const partition::DeviceSlice*> active;
     for (const partition::DeviceSlice& slice : stage.assignments) {
@@ -786,9 +783,8 @@ struct PipelineRuntime::Impl {
       request.last_node = stage.last;
       request.in_region = in_region;
       request.out_region = slice.out_region;
-      request.tensor = extract(input, in_region);
       stamp_request(request, task_id, stage_index);
-      guarded_send(slice.device, request);
+      guarded_send(slice.device, request, input, in_region);
       active.push_back(&slice);
     }
     const std::int64_t gather_start = obs::Tracer::now_ns();
@@ -799,22 +795,34 @@ struct PipelineRuntime::Impl {
                       task_id, scatter_start, gather_start);
     }
 
-    // Gather + stitch.
-    double critical = 0.0;
-    std::vector<Placed> pieces;
-    pieces.reserve(active.size());
+    // Gather: each result lands in place in the stage output.  The slices
+    // tile the map exactly, so every element is written before the map is
+    // read and it can skip the zero fill; a gather that throws midway
+    // discards it.
+    std::vector<Region> regions;
+    regions.reserve(active.size());
     for (const partition::DeviceSlice* slice : active) {
-      Message result = recv_result(slice->device, task_id);
+      regions.push_back(slice->out_region);
+    }
+    PICO_CHECK_MSG(
+        tiles_exactly(Region::full(out_shape.height, out_shape.width), regions),
+        "stage " << stage_index << " slices do not tile its output map");
+    Tensor out = Tensor::uninitialized(out_shape);
+    double critical = 0.0;
+    for (const partition::DeviceSlice* slice : active) {
+      ResultSlot slot;
+      slot.task_id = task_id;
+      slot.out_region = slice->out_region;
+      slot.channels = out_shape.channels;
+      slot.map = &out;
+      const Message result = gather_result(slice->device, slot);
       const std::int64_t t4 = obs::Tracer::now_ns();
-      PICO_CHECK(result.out_region == slice->out_region);
       observe_result(stage_index, slice->device, result, t4);
       observe_compute(stage_index, slice->device, task_id,
                       result.compute_seconds,
                       /*fallback_span=*/result.t_compute_end_ns == 0);
       critical = std::max(critical, result.compute_seconds);
-      pieces.push_back({result.out_region, std::move(result.tensor)});
     }
-    Tensor out = stitch(out_shape, pieces);
     metrics.compute_critical->observe(critical);
     const std::int64_t gather_end = obs::Tracer::now_ns();
     metrics.gather->observe(to_seconds(gather_end - gather_start));
@@ -826,7 +834,8 @@ struct PipelineRuntime::Impl {
     return out;
   }
 
-  /// Run one stage of the plan for one feature map (scatter/gather/stitch).
+  /// Run one stage of the plan for one feature map (scatter, then gather
+  /// into the stitched map).
   Tensor run_stage(std::size_t stage_index, const partition::Stage& stage,
                    const Tensor& input, std::int64_t task_id) {
     const Shape in_shape = graph.node(stage.first).in_shape;
@@ -860,6 +869,9 @@ struct PipelineRuntime::Impl {
       // loop keeps draining — with the runtime poisoned, every queued
       // task fails fast and the owner gets the whole accepted backlog
       // back as DeviceFailure futures it can re-execute after replanning.
+      // Set while the task is rejected by a poisoned runtime rather than
+      // failed by its own run.
+      bool fail_fast = false;
       try {
         const std::int64_t popped_ns = obs::Tracer::now_ns();
         queue_metrics[index].wait->observe(
@@ -869,7 +881,9 @@ struct PipelineRuntime::Impl {
                           obs::stage_track(static_cast<int>(index)),
                           item->id, item->enqueue_ns, popped_ns);
         }
+        fail_fast = true;
         throw_if_degraded();
+        fail_fast = false;
         if (plan.pipelined) {
           item->tensor = run_stage(index, plan.stages[index],
                                    std::move(item->tensor), item->id);
@@ -911,8 +925,16 @@ struct PipelineRuntime::Impl {
           item->promise->set_value(std::move(item->tensor));
         }
       } catch (const std::exception& error) {
-        PICO_LOG(Error) << "coordinator " << index << " failed task "
-                        << item->id << ": " << error.what();
+        // note_device_failure logged the death once; the fail-fast
+        // rejections of the tasks queued behind it (which an EpochRuntime
+        // owner re-executes) would repeat it once per task.
+        if (fail_fast) {
+          PICO_LOG(Debug) << "coordinator " << index << " rejected task "
+                          << item->id << ": " << error.what();
+        } else {
+          PICO_LOG(Error) << "coordinator " << index << " failed task "
+                          << item->id << ": " << error.what();
+        }
         // A throwing downstream push() has already move-consumed the item;
         // its promise then travels with it (and the push only throws once
         // that queue is closed, i.e. during teardown).

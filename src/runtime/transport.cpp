@@ -6,16 +6,21 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
+#include "tensor/slice.hpp"
 
 namespace pico::runtime {
 
@@ -32,6 +37,33 @@ void atomic_add_seconds(std::atomic<double>& target, double delta) {
   }
 }
 
+/// The destination a ResultSlot names must lie inside its map.
+void check_slot(const ResultSlot& slot) {
+  PICO_CHECK_MSG(slot.map != nullptr, "result slot has no destination map");
+  check_piece(slot.map->shape(), slot.channel_offset, slot.channels,
+              slot.out_region);
+}
+
+/// Whether a received frame (header + tensor shape) is the result `slot`
+/// awaits: false for a stale task; throws for any other message type and
+/// for an awaited result whose region or shape disagrees with the slot.
+bool fills_slot(const Message& header, const Shape& shape,
+                const ResultSlot& slot) {
+  PICO_CHECK_MSG(header.type == MessageType::WorkResult,
+                 "expected a WorkResult, got message type "
+                     << static_cast<std::uint32_t>(header.type));
+  if (header.task_id != slot.task_id) return false;
+  PICO_CHECK_MSG(header.out_region == slot.out_region,
+                 "WorkResult for task " << header.task_id << " names region "
+                                        << header.out_region << ", expected "
+                                        << slot.out_region);
+  PICO_CHECK_MSG(shape == slot.shape(),
+                 "WorkResult for task " << header.task_id << " carries shape "
+                                        << shape << ", expected "
+                                        << slot.shape());
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // In-process transport
 // ---------------------------------------------------------------------------
@@ -44,11 +76,13 @@ class InProcConnection : public Connection {
 
   ~InProcConnection() override { close(); }
 
-  void send(const Message& message) override {
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    // Moved by value, counted as the frame TCP would carry.
-    bytes_sent_.fetch_add(frame_bytes(message), std::memory_order_relaxed);
-    tx_->push(message);
+  void send(const Message& message) override { push(message); }
+
+  void send_piece(const Message& header, const Tensor& source,
+                  const Region& region) override {
+    Message message = header;
+    message.tensor = extract(source, region);
+    push(std::move(message));
   }
 
   Message recv() override {
@@ -69,6 +103,23 @@ class InProcConnection : public Connection {
     bytes_received_.fetch_add(frame_bytes(*message),
                               std::memory_order_relaxed);
     return std::move(*message);
+  }
+
+  Message recv_result(const ResultSlot& slot) override {
+    check_slot(slot);
+    Message message = recv();
+    if (fills_slot(message, message.tensor.shape(), slot)) {
+      const float* from = message.tensor.data().data();
+      float* to = slot.map->data().data();
+      for_each_run(slot.map->shape(), slot.channel_offset,
+                   slot.channels, slot.out_region,
+                   [&](std::size_t offset, std::size_t floats) {
+                     std::memcpy(to + offset, from, floats * sizeof(float));
+                     from += floats;
+                   });
+    }
+    message.tensor = Tensor();
+    return message;
   }
 
   void close() override {
@@ -92,6 +143,13 @@ class InProcConnection : public Connection {
   }
 
  private:
+  void push(Message message) {
+    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    // Moved by value, counted as the frame TCP would carry.
+    bytes_sent_.fetch_add(frame_bytes(message), std::memory_order_relaxed);
+    tx_->push(std::move(message));
+  }
+
   std::shared_ptr<BoundedQueue<Message>> tx_;
   std::shared_ptr<BoundedQueue<Message>> rx_;
   std::atomic<std::int64_t> timeout_ms_{0};
@@ -138,66 +196,95 @@ bool wait_ready(int fd, short events, SteadyClock::time_point deadline) {
   }
 }
 
-/// Writes exactly `size` bytes.  With timeout_ms > 0, each stalled write
-/// waits at most until the per-operation deadline and then throws
-/// TimeoutError; `frame_started` marks whether earlier bytes of the same
-/// frame already went out (a mid-frame timeout leaves the stream
-/// unframeable).
-void write_all(int fd, const void* data, std::size_t size,
-               std::int64_t timeout_ms = 0, bool frame_started = false) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
+/// Drops `n` transferred bytes off the front of iov[first..count), advancing
+/// `first` past every entry they complete.
+void advance(iovec* iov, std::size_t count, std::size_t& first,
+             std::size_t n) {
+  while (first < count && n >= iov[first].iov_len) {
+    n -= iov[first].iov_len;
+    ++first;
+  }
+  if (n > 0) {
+    iov[first].iov_base = static_cast<std::uint8_t*>(iov[first].iov_base) + n;
+    iov[first].iov_len -= n;
+  }
+}
+
+/// Writes every byte `iov` names (and consumes `iov`), at most IOV_MAX
+/// entries per sendmsg.  With timeout_ms > 0, each stalled write waits at
+/// most until the per-operation deadline and then throws TimeoutError,
+/// marked mid-frame once any byte went out (the stream is then unframeable).
+void write_iov(int fd, iovec* iov, std::size_t count,
+               std::int64_t timeout_ms) {
   const auto deadline =
       SteadyClock::now() + std::chrono::milliseconds(timeout_ms);
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, bytes + sent, size - sent,
-                             MSG_NOSIGNAL | (timeout_ms > 0 ? MSG_DONTWAIT : 0));
+  std::size_t first = 0;
+  bool started = false;
+  advance(iov, count, first, 0);
+  while (first < count) {
+    msghdr msg{};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = std::min<std::size_t>(count - first, IOV_MAX);
+    const ssize_t n = ::sendmsg(
+        fd, &msg, MSG_NOSIGNAL | (timeout_ms > 0 ? MSG_DONTWAIT : 0));
     if (n < 0) {
       if (errno == EINTR) continue;
       if (timeout_ms > 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         if (!wait_ready(fd, POLLOUT, deadline)) {
-          const bool mid_frame = frame_started || sent > 0;
-          obs::record_event(obs::EventCode::TransportTimeout,
-                            mid_frame ? 1 : 0);
-          throw TimeoutError("send timed out", mid_frame);
+          obs::record_event(obs::EventCode::TransportTimeout, started ? 1 : 0);
+          throw TimeoutError("send timed out", started);
         }
         continue;
       }
       throw_errno("send");
     }
-    sent += static_cast<std::size_t>(n);
+    started = true;
+    advance(iov, count, first, static_cast<std::size_t>(n));
   }
 }
 
-/// Reads exactly `size` bytes.  Returns false on clean EOF before the first
-/// byte.  With timeout_ms > 0, throws TimeoutError once the per-operation
-/// deadline passes; `frame_started` marks whether earlier bytes of the same
-/// frame were already consumed (mid-frame timeouts are unrecoverable — the
+/// Fills every byte `iov` names (and consumes `iov`), at most IOV_MAX
+/// entries per recvmsg.  Returns false on clean EOF before the first byte.
+/// With timeout_ms > 0, throws TimeoutError once the per-operation deadline
+/// passes; `frame_started` marks whether earlier bytes of the same frame
+/// were already consumed (mid-frame timeouts are unrecoverable — the
 /// length-prefixed stream cannot re-synchronize).
-bool read_all(int fd, void* data, std::size_t size, std::int64_t timeout_ms = 0,
-              bool frame_started = false) {
-  auto* bytes = static_cast<std::uint8_t*>(data);
+bool read_iov(int fd, iovec* iov, std::size_t count, std::int64_t timeout_ms,
+              bool frame_started) {
   const auto deadline =
       SteadyClock::now() + std::chrono::milliseconds(timeout_ms);
-  std::size_t received = 0;
-  while (received < size) {
+  std::size_t first = 0;
+  bool started = false;
+  advance(iov, count, first, 0);
+  while (first < count) {
     if (timeout_ms > 0 && !wait_ready(fd, POLLIN, deadline)) {
-      const bool mid_frame = frame_started || received > 0;
+      const bool mid_frame = frame_started || started;
       obs::record_event(obs::EventCode::TransportTimeout, mid_frame ? 1 : 0);
       throw TimeoutError("recv timed out", mid_frame);
     }
-    const ssize_t n = ::recv(fd, bytes + received, size - received, 0);
+    msghdr msg{};
+    msg.msg_iov = iov + first;
+    msg.msg_iovlen = std::min<std::size_t>(count - first, IOV_MAX);
+    const ssize_t n = ::recvmsg(fd, &msg, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("recv");
     }
     if (n == 0) {
-      if (received == 0) return false;
+      if (!started) return false;
       throw TransportError("peer closed mid-frame");
     }
-    received += static_cast<std::size_t>(n);
+    started = true;
+    advance(iov, count, first, static_cast<std::size_t>(n));
   }
   return true;
+}
+
+/// read_iov into one buffer.
+bool read_all(int fd, void* data, std::size_t size, std::int64_t timeout_ms,
+              bool frame_started) {
+  iovec iov{data, size};
+  return read_iov(fd, &iov, 1, timeout_ms, frame_started);
 }
 
 class TcpConnection : public Connection {
@@ -218,52 +305,49 @@ class TcpConnection : public Connection {
   }
 
   void send(const Message& message) override {
-    // A connection closed mid-shutdown is a transport condition (the normal
-    // stop() / Shutdown-message race), not a programming error.
-    if (closed_.load(std::memory_order_acquire)) {
-      throw TransportError("send on closed connection");
-    }
-    obs::Span span("send", "net", obs::net_track(), message.task_id);
-    const std::int64_t start_ns = obs::Tracer::now_ns();
-    const std::int64_t timeout_ms =
-        timeout_ms_.load(std::memory_order_relaxed);
-    const std::vector<std::uint8_t> payload = serialize(message);
-    const std::uint64_t length = payload.size();
-    write_all(fd_, &length, sizeof(length), timeout_ms, false);
-    write_all(fd_, payload.data(), payload.size(), timeout_ms, true);
-    const std::int64_t bytes = frame_bytes(message);
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
-    atomic_add_seconds(
-        send_seconds_,
-        static_cast<double>(obs::Tracer::now_ns() - start_ns) / 1e9);
-    span.arg("bytes", std::to_string(bytes));
+    const Shape& shape = message.tensor.shape();
+    send_frame(message, message.tensor,
+               Region::full(shape.height, shape.width));
+  }
+
+  void send_piece(const Message& header, const Tensor& source,
+                  const Region& region) override {
+    send_frame(header, source, region);
   }
 
   Message recv() override {
-    if (closed_.load(std::memory_order_acquire)) {
-      throw TransportError("recv on closed connection");
-    }
     const std::int64_t start_ns = obs::Tracer::now_ns();
-    const std::int64_t timeout_ms =
-        timeout_ms_.load(std::memory_order_relaxed);
-    std::uint64_t length = 0;
-    if (!read_all(fd_, &length, sizeof(length), timeout_ms, false)) {
-      throw TransportError("tcp peer closed");
+    Inbound frame = decode_head();
+    // decode_head proved the payload holds exactly elements() × 4 bytes of
+    // a frame at most 4 GiB long; restated as the bound on this allocation.
+    PICO_CHECK(static_cast<std::uint64_t>(frame.shape.elements()) * 4 ==
+               frame.left);
+    Message message = std::move(frame.header);
+    message.tensor = Tensor::uninitialized(frame.shape);
+    read_payload(frame, message.tensor, 0,
+                 Region::full(frame.shape.height, frame.shape.width));
+    account(frame, start_ns);
+    return message;
+  }
+
+  Message recv_result(const ResultSlot& slot) override {
+    check_slot(slot);
+    const std::int64_t start_ns = obs::Tracer::now_ns();
+    Inbound frame = decode_head();
+    bool fills = false;
+    try {
+      fills = fills_slot(frame.header, frame.shape, slot);
+    } catch (...) {
+      skip(frame);
+      throw;
     }
-    PICO_CHECK_MSG(length <= (1ull << 32), "oversized frame");
-    std::vector<std::uint8_t> payload(static_cast<std::size_t>(length));
-    if (!read_all(fd_, payload.data(), payload.size(), timeout_ms, true)) {
-      throw TransportError("tcp peer closed mid-frame");
+    if (fills) {
+      read_payload(frame, *slot.map, slot.channel_offset, slot.out_region);
+    } else {
+      skip(frame);
     }
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    bytes_received_.fetch_add(
-        static_cast<std::int64_t>(sizeof(length) + payload.size()),
-        std::memory_order_relaxed);
-    atomic_add_seconds(
-        recv_seconds_,
-        static_cast<double>(obs::Tracer::now_ns() - start_ns) / 1e9);
-    return deserialize(payload.data(), payload.size());
+    account(frame, start_ns);
+    return std::move(frame.header);
   }
 
   // close() races with a recv() blocked on the socket in another thread by
@@ -302,6 +386,152 @@ class TcpConnection : public Connection {
   }
 
  private:
+  /// One inbound frame, read front to back.
+  struct Inbound {
+    Message header;  ///< decoded header and blob; tensor empty
+    Shape shape;     ///< the payload's tensor shape
+    std::uint64_t length = 0;  ///< frame bytes after the length prefix
+    std::uint64_t left = 0;    ///< frame bytes not yet read
+    std::int64_t timeout_ms = 0;
+  };
+
+  /// Sends `header` with channels × `region` of `source` as its tensor: the
+  /// encoded header, then the region's rows straight from `source`, in one
+  /// gathered write.
+  void send_frame(const Message& header, const Tensor& source,
+                  const Region& region) {
+    // A connection closed mid-shutdown is a transport condition (the normal
+    // stop() / Shutdown-message race), not a programming error.
+    if (closed_.load(std::memory_order_acquire)) {
+      throw TransportError("send on closed connection");
+    }
+    obs::Span span("send", "net", obs::net_track(), header.task_id);
+    const std::int64_t start_ns = obs::Tracer::now_ns();
+    const Shape shape{source.shape().channels, region.height(),
+                      region.width()};
+    std::vector<std::uint8_t> head(kLengthPrefixBytes);
+    head.reserve(kLengthPrefixBytes + kFixedHeaderBytes + header.blob.size() +
+                 kShapeBytes);
+    encode_header(header, shape, head);
+    const std::int64_t bytes = frame_bytes(header, shape);
+    const auto length = static_cast<std::uint64_t>(bytes) - kLengthPrefixBytes;
+    std::memcpy(head.data(), &length, sizeof(length));
+    std::vector<iovec> iov{{head.data(), head.size()}};
+    // iovec names mutable memory, but sendmsg only reads it.
+    float* data = const_cast<float*>(source.data().data());
+    for_each_run(source.shape(), 0, shape.channels, region,
+                 [&](std::size_t offset, std::size_t floats) {
+                   iov.push_back({data + offset, floats * sizeof(float)});
+                 });
+    write_iov(fd_, iov.data(), iov.size(),
+              timeout_ms_.load(std::memory_order_relaxed));
+    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+    atomic_add_seconds(
+        send_seconds_,
+        static_cast<double>(obs::Tracer::now_ns() - start_ns) / 1e9);
+    span.arg("bytes", std::to_string(bytes));
+  }
+
+  /// Reads one frame up to its payload: the length prefix, the fixed
+  /// header, the blob and the shape.  Every decoded extent is checked
+  /// against the frame's length before anything is allocated from it; a
+  /// frame that fails a check is read to its end first, so the stream
+  /// stays framed for the next one.
+  Inbound decode_head() {
+    if (closed_.load(std::memory_order_acquire)) {
+      throw TransportError("recv on closed connection");
+    }
+    Inbound frame;
+    frame.timeout_ms = timeout_ms_.load(std::memory_order_relaxed);
+    std::uint64_t length = 0;
+    if (!read_all(fd_, &length, sizeof(length), frame.timeout_ms, false)) {
+      throw TransportError("tcp peer closed");
+    }
+    PICO_CHECK_MSG(length <= (1ull << 32), "oversized frame");
+    frame.length = length;
+    frame.left = length;
+    std::uint8_t fixed[kFixedHeaderBytes];
+    const auto fixed_bytes = static_cast<std::size_t>(
+        std::min<std::uint64_t>(length, kFixedHeaderBytes));
+    read_frame_bytes(frame, fixed, fixed_bytes);
+    std::uint64_t blob_size = 0;
+    try {
+      blob_size = decode_header(fixed, fixed_bytes, frame.header);
+      PICO_CHECK_MSG(frame.left >= kShapeBytes &&
+                         blob_size <= frame.left - kShapeBytes,
+                     "message blob truncated");
+    } catch (...) {
+      skip(frame);
+      throw;
+    }
+    frame.header.blob.resize(static_cast<std::size_t>(blob_size));
+    read_frame_bytes(frame, frame.header.blob.data(),
+                     frame.header.blob.size());
+    std::uint8_t shape[kShapeBytes];
+    read_frame_bytes(frame, shape, kShapeBytes);
+    try {
+      frame.shape = decode_shape(shape, frame.left);
+    } catch (...) {
+      skip(frame);
+      throw;
+    }
+    return frame;
+  }
+
+  /// Reads `size` more bytes of `frame` into `data`.
+  void read_frame_bytes(Inbound& frame, void* data, std::size_t size) {
+    PICO_CHECK(size <= frame.left);
+    if (size == 0) return;
+    if (!read_all(fd_, data, size, frame.timeout_ms, true)) {
+      throw TransportError("tcp peer closed mid-frame");
+    }
+    frame.left -= size;
+  }
+
+  /// Reads the payload of `frame` straight into channels [channel_offset,
+  /// + frame.shape.channels) × `region` of `map`, one scatter read.
+  void read_payload(Inbound& frame, Tensor& map, int channel_offset,
+                    const Region& region) {
+    std::vector<iovec> iov;
+    std::uint64_t bytes = 0;
+    float* data = map.data().data();
+    for_each_run(map.shape(), channel_offset, frame.shape.channels, region,
+                 [&](std::size_t offset, std::size_t floats) {
+                   iov.push_back({data + offset, floats * sizeof(float)});
+                   bytes += floats * sizeof(float);
+                 });
+    PICO_CHECK_MSG(bytes == frame.left,
+                   "payload destination holds " << bytes << " bytes, frame "
+                                                << frame.left);
+    if (!read_iov(fd_, iov.data(), iov.size(), frame.timeout_ms, true)) {
+      throw TransportError("tcp peer closed mid-frame");
+    }
+    frame.left = 0;
+  }
+
+  /// Reads the rest of `frame` into a scratch buffer and drops it.
+  void skip(Inbound& frame) {
+    std::vector<std::uint8_t> discard(static_cast<std::size_t>(
+        std::min<std::uint64_t>(frame.left, 64 * 1024)));
+    while (frame.left > 0) {
+      read_frame_bytes(frame, discard.data(),
+                       static_cast<std::size_t>(std::min<std::uint64_t>(
+                           frame.left, discard.size())));
+    }
+  }
+
+  /// Counts one fully read frame.
+  void account(const Inbound& frame, std::int64_t start_ns) {
+    frames_received_.fetch_add(1, std::memory_order_relaxed);
+    bytes_received_.fetch_add(
+        static_cast<std::int64_t>(kLengthPrefixBytes + frame.length),
+        std::memory_order_relaxed);
+    atomic_add_seconds(
+        recv_seconds_,
+        static_cast<double>(obs::Tracer::now_ns() - start_ns) / 1e9);
+  }
+
   const int fd_;
   std::atomic<bool> closed_{false};
   std::atomic<std::int64_t> timeout_ms_{0};
@@ -362,7 +592,7 @@ std::unique_ptr<Connection> TcpListener::accept() {
     if (fd >= 0) return std::make_unique<TcpConnection>(fd);
     // accept() is the one blocking call a signal lands on most often
     // (profilers, timers, forked children exiting) — retry like
-    // write_all/read_all do instead of tearing the listener down.
+    // write_iov/read_iov do instead of tearing the listener down.
     if (errno == EINTR) continue;
     throw_errno("accept");
   }

@@ -4,8 +4,18 @@
 //    used by default in tests and examples.
 //  - TCP: real loopback sockets with length-prefixed frames — the same
 //    distributed glue the paper's Raspberry-Pi framework uses (TCP/IP
-//    sockets, §IV-D), so serialization, framing, and partial reads/writes
-//    are genuinely exercised.
+//    sockets, §IV-D), so framing and partial reads/writes are genuinely
+//    exercised.
+//
+// The data plane has two entry points besides send()/recv().  send_piece()
+// ships a region of a map the caller keeps, and recv_result() lands a
+// WorkResult's payload in place inside a map the caller owns.  Over TCP
+// every tensor byte is then copied once per direction, by the kernel:
+// send_piece gathers the header and the region's rows into one sendmsg, and
+// recv_result and recv read the payload straight into tensor storage with
+// readv-style scatter reads.  In process each is one row copy, as
+// extract/stitch make.  Either way the bytes are those send() would carry
+// for the same message (message.hpp's PIC4 codec).
 #pragma once
 
 #include <cstdint>
@@ -15,8 +25,28 @@
 
 #include "runtime/channel.hpp"
 #include "runtime/message.hpp"
+#include "tensor/region.hpp"
+#include "tensor/tensor.hpp"
 
 namespace pico::runtime {
+
+/// Where recv_result() lands the payload of the WorkResult it awaits.
+struct ResultSlot {
+  /// Results for any other task are stale: read, dropped, and returned so
+  /// the caller can log them.
+  std::int64_t task_id = 0;
+  /// The awaited result must name this region and carry shape(); its
+  /// payload lands in channels [channel_offset, channel_offset + channels)
+  /// × out_region of *map.
+  Region out_region;
+  int channels = 0;
+  Tensor* map = nullptr;
+  int channel_offset = 0;
+
+  Shape shape() const {
+    return {channels, out_region.height(), out_region.width()};
+  }
+};
 
 /// Cumulative per-connection transfer accounting.  `*_seconds` is wall time
 /// spent inside send()/recv() — for recv that includes time blocked waiting
@@ -40,7 +70,19 @@ class Connection {
  public:
   virtual ~Connection() = default;
   virtual void send(const Message& message) = 0;
+  /// Sends `header` with `region` of `source` (every channel) as its tensor:
+  /// the frame send() would carry for a copy of `header` holding
+  /// extract(source, region).  header.tensor is not read.
+  virtual void send_piece(const Message& header, const Tensor& source,
+                          const Region& region) = 0;
   virtual Message recv() = 0;
+  /// Receives one WorkResult frame and returns its header (tensor empty).
+  /// A result for slot.task_id must name slot.out_region and carry
+  /// slot.shape(); its payload lands in the slot's destination and nowhere
+  /// else.  A result for another task is stale and its payload is dropped.
+  /// Any other message type, or a mismatched region or shape, throws
+  /// InvariantError with the frame consumed and the destination untouched.
+  virtual Message recv_result(const ResultSlot& slot) = 0;
   virtual void close() = 0;
   /// Transfer totals so far; safe to call concurrently with send/recv.
   virtual ConnectionStats stats() const { return {}; }

@@ -26,6 +26,16 @@ void copy_region_rows(const Tensor& src, const Region& src_region,
 
 }  // namespace
 
+void check_piece(const Shape& map, int channel_begin, int channels,
+                 const Region& region) {
+  PICO_CHECK_MSG(channel_begin >= 0 && channels >= 0 &&
+                     channel_begin <= map.channels - channels,
+                 "channels [" << channel_begin << ", +" << channels
+                              << ") outside map " << map);
+  PICO_CHECK_MSG(Region::full(map.height, map.width).contains(region),
+                 "piece region " << region << " outside map " << map);
+}
+
 Tensor extract(const Tensor& source, const Region& region) {
   const Region map = Region::full(source.shape().height,
                                   source.shape().width);

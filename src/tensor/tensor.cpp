@@ -19,6 +19,25 @@ Tensor::Tensor(Shape shape, float fill)
                  "negative tensor dimension " << shape);
 }
 
+Tensor::Tensor(const Tensor& other) : shape_(other.shape_) {
+  data_.resize(other.data_.size());
+  std::copy(other.data_.begin(), other.data_.end(), data_.begin());
+}
+
+Tensor& Tensor::operator=(const Tensor& other) {
+  if (this != &other) *this = Tensor(other);
+  return *this;
+}
+
+Tensor Tensor::uninitialized(Shape shape) {
+  PICO_CHECK_MSG(shape.channels >= 0 && shape.height >= 0 && shape.width >= 0,
+                 "negative tensor dimension " << shape);
+  Tensor t;
+  t.shape_ = shape;
+  t.data_.resize(static_cast<std::size_t>(shape.elements()));
+  return t;
+}
+
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

@@ -5,7 +5,10 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,10 +28,44 @@ struct Shape {
 
 std::ostream& operator<<(std::ostream& os, const Shape& s);
 
+/// std::allocator whose value-less construct() default-initialises, so a
+/// vector sized without a fill value leaves its floats unwritten instead of
+/// zeroing them.  Construction with a value still copies that value.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() noexcept = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(Shape shape, float fill = 0.0f);
+  // The allocator's element-by-element copy does not compile to a block
+  // copy, so copies are spelled out; moves stay defaulted.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+  Tensor(Tensor&&) noexcept = default;
+  Tensor& operator=(Tensor&&) noexcept = default;
+
+  /// A tensor whose elements are left unwritten, for a caller that
+  /// overwrites every one of them before any is read (a received payload,
+  /// a gather whose pieces tile the map).
+  static Tensor uninitialized(Shape shape);
 
   const Shape& shape() const { return shape_; }
   long long size() const { return static_cast<long long>(data_.size()); }
@@ -59,7 +96,7 @@ class Tensor {
   }
 
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 }  // namespace pico

@@ -15,11 +15,13 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "models/zoo.hpp"
 #include "nn/executor.hpp"
@@ -407,6 +409,55 @@ TEST(Churn, HardKillMidStreamRecoversAndCompletesEveryTask) {
   }
   EXPECT_TRUE(saw_down);
   EXPECT_EQ(rt.tasks_completed(), kTasks);
+}
+
+TEST(Churn, OneDeathLogsOneErrorPerCoordinator) {
+  // The tasks queued behind a death fail fast and are re-executed by the
+  // EpochRuntime; the death itself is logged once.  So each coordinator may
+  // log at most the one task the death actually broke as an Error.
+  FaultGuard guard;
+  nn::Graph graph = models::synthetic_chain(6, 48, 8);
+  Rng rng(404);
+  graph.randomize_weights(rng);
+  const Cluster cluster = Cluster::raspberry_pi({1.2, 1.0, 0.8});
+  Tensor input(graph.input_shape());
+  input.randomize(rng);
+  const Tensor reference = nn::execute(graph, input);
+
+  runtime::RuntimeOptions runtime_opts;
+  runtime_opts.transport = runtime::TransportKind::Tcp;
+  runtime::EpochRuntime rt(graph, cluster, chaos_options(runtime_opts));
+  runtime::set_debug_worker_kill_after(pick_victim(rt.plan()), 3);
+
+  const log::Level saved = log::level();
+  log::set_level(log::Level::Warn);
+  ::testing::internal::CaptureStderr();
+  std::vector<std::future<Tensor>> futures;
+  for (int i = 0; i < 24; ++i) futures.push_back(rt.submit(input));
+  for (auto& future : futures) {
+    EXPECT_FLOAT_EQ(Tensor::max_abs_diff(future.get(), reference), 0.0f);
+  }
+  rt.shutdown();
+  const std::string captured = ::testing::internal::GetCapturedStderr();
+  log::set_level(saved);
+
+  EXPECT_EQ(rt.dead_devices().size(), 1u);
+  std::map<std::string, int> errors;  // "coordinator N" -> Error lines
+  std::istringstream lines(captured);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t at = line.find("coordinator ");
+    const std::size_t failed = line.find(" failed task ");
+    if (line.rfind("[ERROR", 0) != 0 || at == std::string::npos ||
+        failed == std::string::npos || failed < at) {
+      continue;
+    }
+    ++errors[line.substr(at, failed - at)];
+  }
+  for (const auto& [coordinator, count] : errors) {
+    EXPECT_LE(count, 1) << coordinator << " logged " << count
+                        << " Error lines for one death:\n"
+                        << captured;
+  }
 }
 
 TEST(Churn, HungWorkerDetectedByDeadlineWithinBound) {

@@ -31,4 +31,20 @@ void copy_payload(float* dst, const std::uint8_t*& cursor,
   std::memcpy(dst, cursor, bytes);
 }
 
+struct Shape {
+  int channels;
+  int height;
+  int width;
+};
+struct Tensor {
+  static Tensor uninitialized(Shape shape);
+};
+Shape decode_shape(const std::uint8_t* data);
+
+Tensor receive_payload(const std::uint8_t* data) {
+  const Shape shape = decode_shape(data);
+  // VIOLATION: a decoded shape sizes an uninitialised tensor unchecked.
+  return Tensor::uninitialized(shape);
+}
+
 }  // namespace fixture

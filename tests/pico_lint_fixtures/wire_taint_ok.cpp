@@ -35,4 +35,24 @@ void copy_payload(float* dst, const std::uint8_t*& cursor,
   std::memcpy(dst, cursor, bytes);
 }
 
+struct Shape {
+  int channels;
+  int height;
+  int width;
+};
+struct Tensor {
+  static Tensor uninitialized(Shape shape);
+};
+Shape decode_shape(const std::uint8_t* data);
+
+Tensor receive_payload(const std::uint8_t* data, std::uint64_t payload) {
+  const Shape shape = decode_shape(data);
+  // The payload that follows must hold exactly the shape's elements.
+  PICO_CHECK_MSG(static_cast<std::uint64_t>(shape.channels) * shape.height *
+                         shape.width * 4 ==
+                     payload,
+                 "payload size mismatch");
+  return Tensor::uninitialized(shape);
+}
+
 }  // namespace fixture

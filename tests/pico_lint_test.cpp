@@ -113,7 +113,8 @@ TEST(PicoLint, UnguardedMemberQuietOnCompliantTwin) {
 
 TEST(PicoLint, WireTaintFiresOnViolations) {
   const auto findings = lint_fixture("wire_taint_bad.cpp");
-  ASSERT_EQ(findings.size(), 2u) << "reserve(count), memcpy bytes";
+  ASSERT_EQ(findings.size(), 3u)
+      << "reserve(count), memcpy bytes, uninitialized(shape)";
   EXPECT_EQ(check_ids(findings), std::set<std::string>{"wire-taint"});
 }
 

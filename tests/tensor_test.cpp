@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/slice.hpp"
@@ -114,6 +118,78 @@ TEST(Slice, VerticalSplitRoundTrip) {
       {{0, 5, 4, 9}, extract(t, {0, 5, 4, 9})}};
   const Tensor rebuilt = stitch(t.shape(), pieces);
   EXPECT_FLOAT_EQ(Tensor::max_abs_diff(t, rebuilt), 0.0f);
+}
+
+TEST(Tensor, UninitializedHasShapeAndTakesWrites) {
+  Tensor t = Tensor::uninitialized({2, 3, 4});
+  EXPECT_EQ(t.shape(), (Shape{2, 3, 4}));
+  EXPECT_EQ(t.size(), 24);
+  t.fill(1.5f);
+  EXPECT_EQ(t.at(1, 2, 3), 1.5f);
+  EXPECT_TRUE(Tensor::uninitialized({0, 0, 0}).empty());
+}
+
+TEST(Tensor, CopiesAreDeepAndExact) {
+  Rng rng(3);
+  Tensor a({3, 5, 7});
+  a.randomize(rng);
+  Tensor b(a);
+  EXPECT_EQ(b.shape(), a.shape());
+  EXPECT_FLOAT_EQ(Tensor::max_abs_diff(a, b), 0.0f);
+  b.at(2, 4, 6) = 9.0f;
+  EXPECT_NE(a.at(2, 4, 6), 9.0f);
+  Tensor c({1, 1, 1});
+  c = a;
+  EXPECT_EQ(c.shape(), a.shape());
+  EXPECT_FLOAT_EQ(Tensor::max_abs_diff(a, c), 0.0f);
+  const Tensor& same = c;
+  c = same;  // self-assignment keeps the contents
+  EXPECT_FLOAT_EQ(Tensor::max_abs_diff(a, c), 0.0f);
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> runs_of(
+    const Shape& map, int channel_begin, int channels, const Region& region) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  for_each_run(map, channel_begin, channels, region,
+               [&](std::size_t offset, std::size_t floats) {
+                 runs.emplace_back(offset, floats);
+               });
+  return runs;
+}
+
+TEST(Slice, RunsMergeAdjacentRows) {
+  using Runs = std::vector<std::pair<std::size_t, std::size_t>>;
+  const Shape map{3, 4, 5};
+  // A whole map is one run; full-width rows are one run per channel.
+  EXPECT_EQ(runs_of(map, 0, 3, Region::full(4, 5)), (Runs{{0, 60}}));
+  EXPECT_EQ(runs_of(map, 0, 2, Region::rows(1, 3, 5)),
+            (Runs{{5, 10}, {25, 10}}));
+  // Partial width: one run per row; a channel offset shifts by planes.
+  EXPECT_EQ(runs_of(map, 1, 1, {2, 4, 1, 3}), (Runs{{31, 2}, {36, 2}}));
+  EXPECT_TRUE(runs_of(map, 0, 3, {2, 2, 0, 5}).empty());
+}
+
+TEST(Slice, RunsWalkExtractOrder) {
+  const Tensor t = sequential({2, 6, 7});
+  const Region region{1, 5, 2, 6};
+  const Tensor piece = extract(t, region);
+  std::vector<float> walked;
+  for_each_run(t.shape(), 0, 2, region,
+               [&](std::size_t offset, std::size_t floats) {
+                 walked.insert(walked.end(), t.data().begin() +
+                                                 static_cast<long>(offset),
+                               t.data().begin() +
+                                   static_cast<long>(offset + floats));
+               });
+  EXPECT_EQ(walked,
+            std::vector<float>(piece.data().begin(), piece.data().end()));
+}
+
+TEST(Slice, RunsRejectPiecesOutsideTheMap) {
+  const Shape map{2, 4, 4};
+  EXPECT_THROW(runs_of(map, 0, 2, {0, 5, 0, 4}), InvariantError);
+  EXPECT_THROW(runs_of(map, 1, 2, Region::full(4, 4)), InvariantError);
+  EXPECT_THROW(runs_of(map, -1, 1, Region::full(4, 4)), InvariantError);
 }
 
 }  // namespace

@@ -16,8 +16,9 @@
 //   sanitize:  a PICO_CHECK / PICO_CHECK_MSG / if(...)-guard that compares
 //              the tainted name clears it
 //   sinks:     resize/reserve/assign/memcpy/memmove/memset/malloc/calloc,
-//              Tensor(...) construction, vector/string paren-construction,
-//              new T[n], array subscripts, for/while loop bounds
+//              Tensor(...) and Tensor::uninitialized(...) construction,
+//              vector/string paren-construction, new T[n], array
+//              subscripts, for/while loop bounds
 #include "checks.hpp"
 
 namespace pico::lint {
@@ -28,7 +29,7 @@ const std::set<std::string>& sink_callees() {
   static const std::set<std::string> kSinks = {
       "resize", "reserve", "assign",  "memcpy", "memmove",
       "memset", "malloc",  "calloc",  "realloc", "strncpy",
-      "Tensor",
+      "Tensor", "uninitialized",
   };
   return kSinks;
 }
