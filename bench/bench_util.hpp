@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 
 namespace pico::bench {
@@ -75,10 +76,10 @@ class BenchJson {
   }
 
   void param(const std::string& key, const std::string& value) {
-    params_[key] = "\"" + escape(value) + "\"";
+    params_[key] = json_string(value);
   }
   void param(const std::string& key, double value) {
-    params_[key] = number(value);
+    params_[key] = json_number(value);
   }
 
   void sample(const std::string& series, double value) {
@@ -97,11 +98,11 @@ class BenchJson {
                              "BENCH_" + file_stem + ".json";
     std::ofstream file(path, std::ios::trunc);
     if (!file.good()) return;
-    file << "{\n  \"name\": \"" << escape(name_) << "\",\n  \"params\": {";
+    file << "{\n  \"name\": " << json_string(name_) << ",\n  \"params\": {";
     bool first = true;
     for (const auto& [key, value] : params_) {
-      file << (first ? "" : ",") << "\n    \"" << escape(key)
-           << "\": " << value;
+      file << (first ? "" : ",") << "\n    " << json_string(key) << ": "
+           << value;
       first = false;
     }
     file << (params_.empty() ? "" : "\n  ") << "},\n  \"series\": {";
@@ -111,34 +112,18 @@ class BenchJson {
       for (const double v : values) sum += v;
       const double mean =
           values.empty() ? 0.0 : sum / static_cast<double>(values.size());
-      file << (first ? "" : ",") << "\n    \"" << escape(key)
-           << "\": {\"count\": " << values.size()
-           << ", \"mean\": " << number(mean)
-           << ", \"p50\": " << number(percentile(values, 0.5))
-           << ", \"p99\": " << number(percentile(values, 0.99)) << "}";
+      file << (first ? "" : ",") << "\n    " << json_string(key)
+           << ": {\"count\": " << values.size()
+           << ", \"mean\": " << json_number(mean)
+           << ", \"p50\": " << json_number(percentile(values, 0.5))
+           << ", \"p99\": " << json_number(percentile(values, 0.99))
+           << "}";
       first = false;
     }
     file << (series_.empty() ? "" : "\n  ") << "}\n}\n";
   }
 
  private:
-  static std::string escape(const std::string& text) {
-    std::string out;
-    for (const char c : text) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  }
-
-  /// JSON has no inf/nan literals; clamp to null.
-  static std::string number(double value) {
-    if (!(value == value) || value > 1e308 || value < -1e308) return "null";
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-    return buffer;
-  }
-
   std::string name_;
   std::map<std::string, std::string> params_;
   std::map<std::string, std::vector<double>> series_;

@@ -33,8 +33,10 @@ int main(int argc, char** argv) {
   const auto p = plan(model, cluster, network, Scheme::Pico);
   std::printf("%s\n", partition::describe_plan(model, p).c_str());
 
-  runtime::PipelineRuntime rt(model, p,
-                              {.transport = runtime::TransportKind::Tcp});
+  runtime::PipelineRuntime rt(
+      model, p,
+      runtime::RuntimeOptions::from_env(
+          {.transport = runtime::TransportKind::Tcp}));
 
   std::vector<Tensor> inputs;
   std::vector<std::future<Tensor>> futures;

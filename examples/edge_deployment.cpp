@@ -54,6 +54,7 @@ int main(int argc, char** argv) {
   const Cluster cluster = Cluster::paper_heterogeneous();
   NetworkModel network;  // 50 Mbps WiFi
   runtime::EpochOptions options;
+  options.runtime = runtime::RuntimeOptions::from_env({});
   options.network = network;
   options.replan = [&network](const nn::Graph& graph, const Cluster& members) {
     return std::vector<partition::Plan>{

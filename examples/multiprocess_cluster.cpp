@@ -119,7 +119,8 @@ int main(int argc, char** argv) {
   }
 
   {
-    runtime::PipelineRuntime rt(model, p, std::move(connections));
+    runtime::PipelineRuntime rt(model, p, std::move(connections),
+                                runtime::RuntimeOptions::from_env({}));
     Tensor frame(model.input_shape());
     int exact = 0;
     int dropped = 0;

@@ -49,7 +49,8 @@ int main() {
   //    gather per stage, with genuine tensor math.
   Tensor frame(model.input_shape());
   frame.randomize(rng);
-  runtime::PipelineRuntime runtime(model, pico_plan);
+  runtime::PipelineRuntime runtime(model, pico_plan,
+                                   runtime::RuntimeOptions::from_env({}));
   const Tensor distributed = runtime.infer(frame);
   const Tensor local = nn::execute(model, frame);
   std::printf("distributed vs single-device max|diff| = %g  (%s)\n",

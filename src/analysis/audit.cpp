@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "cost/flops.hpp"
 #include "nn/receptive.hpp"
 #include "partition/branches.hpp"
@@ -544,35 +545,11 @@ std::string to_text(const AuditReport& report) {
   return os.str();
 }
 
-namespace {
-
-void json_escape(std::ostringstream& os, const std::string& text) {
-  os << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string to_json(const AuditReport& report) {
   std::ostringstream os;
   os << "{";
   os << "\"scheme\":";
-  json_escape(os, report.scheme);
+  write_json_string(os, report.scheme);
   os << ",\"pipelined\":" << (report.pipelined ? "true" : "false")
      << ",\"ok\":" << (report.ok() ? "true" : "false")
      << ",\"errors\":" << report.errors()
@@ -608,10 +585,10 @@ std::string to_json(const AuditReport& report) {
     const Finding& finding = report.findings[f];
     os << (f ? "," : "") << "{\"severity\":\""
        << severity_name(finding.severity) << "\",\"check\":";
-    json_escape(os, finding.check);
+    write_json_string(os, finding.check);
     os << ",\"stage\":" << finding.stage
        << ",\"device\":" << finding.device << ",\"message\":";
-    json_escape(os, finding.message);
+    write_json_string(os, finding.message);
     os << "}";
   }
   os << "]}";

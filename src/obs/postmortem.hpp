@@ -23,8 +23,8 @@
 // The artifact is JSON at ${PICO_POSTMORTEM_DIR:-.}/pico_postmortem_<pid>.json
 // — events exactly as the rings hold them (unsorted; readers sort by seq),
 // the thread-name and string tables, the pending spans, and a metrics
-// snapshot.  load_postmortem() parses it back for pico_postmortem,
-// pico_cluster_report --postmortem, and the round-trip tests.
+// snapshot.  load_postmortem() parses it back for `pico_report postmortem`
+// and the round-trip tests.
 #pragma once
 
 #include <cstdint>

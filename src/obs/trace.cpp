@@ -8,6 +8,7 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace pico::obs {
@@ -128,37 +129,6 @@ void Span::arg(std::string key, std::string value) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-void write_json_string(std::ostream& os, const std::string& text) {
-  os << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 double to_us(std::int64_t ns) { return static_cast<double>(ns) / 1e3; }
 

@@ -27,7 +27,7 @@
 // epoch.  Inference is idempotent, so this is invisible in the outputs.
 //
 // Hang recovery (a wedged-but-connected worker) additionally needs
-// RuntimeOptions::net_timeout_ms / PICO_NET_TIMEOUT_MS > 0; without a
+// RuntimeOptions::net_timeout_ms > 0; without a
 // deadline only EOF-detectable deaths (crash, close) are recoverable.
 #pragma once
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -188,40 +189,6 @@ class GateSet {
   std::vector<ConnectionGate*> held_;
 };
 
-/// Continuous-harvest period: the PICO_HARVEST_MS environment variable
-/// overrides the option (0 or a non-number disables, like the default).
-int resolved_harvest_ms(const RuntimeOptions& options) {
-  if (const char* env = std::getenv("PICO_HARVEST_MS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0') {
-      return value > 0 ? static_cast<int>(std::min<long>(value, 3600000))
-                       : 0;
-    }
-    PICO_LOG(Warn) << "ignoring non-numeric PICO_HARVEST_MS=\"" << env
-                   << "\"";
-  }
-  return std::max(0, options.harvest_ms);
-}
-
-/// Per-operation transport deadline: the PICO_NET_TIMEOUT_MS environment
-/// variable overrides the option (0 or a non-number disables, like the
-/// default).
-std::int64_t resolved_net_timeout_ms(const RuntimeOptions& options) {
-  if (const char* env = std::getenv("PICO_NET_TIMEOUT_MS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0') {
-      return value > 0 ? static_cast<std::int64_t>(
-                             std::min<long>(value, 3600000))
-                       : 0;
-    }
-    PICO_LOG(Warn) << "ignoring non-numeric PICO_NET_TIMEOUT_MS=\"" << env
-                   << "\"";
-  }
-  return std::max<std::int64_t>(0, options.net_timeout_ms);
-}
-
 obs::Harvester::Options harvester_options(const RuntimeOptions& options) {
   obs::Harvester::Options out;
   out.window_rounds = std::max(1, options.window_rounds);
@@ -271,9 +238,8 @@ struct PipelineRuntime::Impl {
     in_flight.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  /// Resolved per-operation transport deadline (option + PICO_NET_TIMEOUT_MS
-  /// override); applied to every connection before any thread starts, const
-  /// afterwards.  0 = block forever.
+  /// Per-operation transport deadline; applied to every connection before
+  /// any thread starts, const afterwards.  0 = block forever.
   std::int64_t net_timeout_ms = 0;
 
   // Failure ledger: first device whose connection failed poisons the whole
@@ -331,8 +297,8 @@ struct PipelineRuntime::Impl {
   /// Continuous-harvest policy engine (windows, λ̂, detectors) — internally
   /// locked, fed under round_mutex.
   obs::Harvester harvester;
-  /// Resolved harvest period (option + PICO_HARVEST_MS override); 0 = no
-  /// background thread.  Set before any thread starts, const afterwards.
+  /// Harvest period; 0 = no background thread.  Set before any thread
+  /// starts, const afterwards.
   int harvest_ms = 0;
   /// Serializes harvest rounds (periodic thread, harvest_now callers and
   /// the final shutdown round).  A gate, not a data lock: the holder spends
@@ -541,7 +507,7 @@ struct PipelineRuntime::Impl {
     // Deadline the coordinator side of every connection (worker ends stay
     // untimed: a worker's recv() idles legitimately between tasks and is
     // unblocked by close() on shutdown).
-    net_timeout_ms = resolved_net_timeout_ms(options);
+    net_timeout_ms = std::max<std::int64_t>(0, options.net_timeout_ms);
     for (const auto& [device, connection] : connections) {
       if (net_timeout_ms > 0) connection->set_timeout_ms(net_timeout_ms);
       clocks.emplace(device, std::make_shared<obs::ClockOffsetEstimator>());
@@ -564,7 +530,7 @@ struct PipelineRuntime::Impl {
         coordinate(i, coordinator_count);
       });
     }
-    harvest_ms = resolved_harvest_ms(options);
+    harvest_ms = std::max(0, options.harvest_ms);
     if (harvest_ms > 0 && options.harvest_telemetry) {
       harvest_thread = SchedThread([this] {
         obs::set_current_thread_name("pico-harvest");
@@ -1173,6 +1139,25 @@ struct PipelineRuntime::Impl {
     publish_device_totals();
   }
 };
+
+RuntimeOptions RuntimeOptions::from_env(RuntimeOptions base) {
+  auto apply = [](const char* name, auto& field) {
+    const char* env = std::getenv(name);
+    if (env == nullptr) return;
+    char* end = nullptr;
+    const long value = std::strtol(env, &end, 10);
+    if (end == env || *end != '\0') {
+      PICO_LOG(Warn) << "ignoring non-numeric " << name << "=\"" << env
+                     << "\"";
+      return;
+    }
+    field = static_cast<std::remove_reference_t<decltype(field)>>(
+        std::clamp<long>(value, 0, 3600000));
+  };
+  apply("PICO_HARVEST_MS", base.harvest_ms);
+  apply("PICO_NET_TIMEOUT_MS", base.net_timeout_ms);
+  return base;
+}
 
 PipelineRuntime::PipelineRuntime(const nn::Graph& graph,
                                  const partition::Plan& plan,

@@ -61,8 +61,7 @@ struct RuntimeOptions {
   /// Continuous-harvest period in milliseconds: > 0 starts a background
   /// thread that pulls every worker's metrics/trace deltas mid-run (span
   /// cursors prevent double-counting) and feeds the health engine.  0 keeps
-  /// the legacy shutdown-only harvest.  The PICO_HARVEST_MS environment
-  /// variable, when set, overrides this field at construction.
+  /// the legacy shutdown-only harvest.
   int harvest_ms = 0;
   /// Harvest rounds per rolling metric window (window duration ≈
   /// window_rounds × harvest period).
@@ -71,9 +70,7 @@ struct RuntimeOptions {
   /// past it, a blocked send/recv (coordinator scatter/gather, harvester
   /// round trips) throws TimeoutError instead of hanging on a dead or
   /// wedged worker.  0 (the default) blocks forever — hang detection then
-  /// rests entirely on the heartbeat's EOF-based signals.  The
-  /// PICO_NET_TIMEOUT_MS environment variable, when set, overrides this
-  /// field at construction.
+  /// rests entirely on the heartbeat's EOF-based signals.
   std::int64_t net_timeout_ms = 0;
   /// Heartbeat policy: consecutive failed harvest round trips before a
   /// device is declared dead (DeviceDown) — detection latency is bounded by
@@ -88,6 +85,12 @@ struct RuntimeOptions {
   /// Leave invalid to skip predicted-vs-measured checks; the Thm. 2 M/D/1
   /// check then falls back to the measured stage period.
   obs::ModelPrediction prediction{};
+
+  /// `base` with PICO_HARVEST_MS and PICO_NET_TIMEOUT_MS applied when set
+  /// (clamped to 3600000; 0 or less disables; a non-number is ignored with
+  /// a warning).  Runtimes never read the environment themselves: only
+  /// command-line tools and examples call this.
+  static RuntimeOptions from_env(RuntimeOptions base);
 };
 
 class PipelineRuntime {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <thread>
 
@@ -366,6 +367,70 @@ TEST_F(RuntimeFixture, ExplicitShutdownIdempotent) {
   rt.shutdown();
   rt.shutdown();
   EXPECT_THROW(rt.submit(Tensor(graph_.input_shape())), InvariantError);
+}
+
+// RuntimeOptions::from_env is the one place PICO_HARVEST_MS and
+// PICO_NET_TIMEOUT_MS are read; runtimes take their options as given.
+class RuntimeOptionsFromEnv : public ::testing::Test {
+ protected:
+  void SetUp() override { clear(); }
+  void TearDown() override { clear(); }
+  static void clear() {
+    ::unsetenv("PICO_HARVEST_MS");
+    ::unsetenv("PICO_NET_TIMEOUT_MS");
+  }
+  static runtime::RuntimeOptions base() {
+    runtime::RuntimeOptions options;
+    options.harvest_ms = 7;
+    options.net_timeout_ms = 9;
+    return options;
+  }
+};
+
+TEST_F(RuntimeOptionsFromEnv, UnsetKeepsBase) {
+  const runtime::RuntimeOptions options =
+      runtime::RuntimeOptions::from_env(base());
+  EXPECT_EQ(options.harvest_ms, 7);
+  EXPECT_EQ(options.net_timeout_ms, 9);
+}
+
+TEST_F(RuntimeOptionsFromEnv, NumberOverridesAndClamps) {
+  ::setenv("PICO_HARVEST_MS", "25", 1);
+  ::setenv("PICO_NET_TIMEOUT_MS", "99999999", 1);
+  const runtime::RuntimeOptions options =
+      runtime::RuntimeOptions::from_env(base());
+  EXPECT_EQ(options.harvest_ms, 25);
+  EXPECT_EQ(options.net_timeout_ms, 3600000);
+}
+
+TEST_F(RuntimeOptionsFromEnv, ZeroOrNegativeDisables) {
+  ::setenv("PICO_HARVEST_MS", "0", 1);
+  ::setenv("PICO_NET_TIMEOUT_MS", "-5", 1);
+  const runtime::RuntimeOptions options =
+      runtime::RuntimeOptions::from_env(base());
+  EXPECT_EQ(options.harvest_ms, 0);
+  EXPECT_EQ(options.net_timeout_ms, 0);
+}
+
+TEST_F(RuntimeOptionsFromEnv, NonNumberIsIgnored) {
+  ::setenv("PICO_HARVEST_MS", "fast", 1);
+  ::setenv("PICO_NET_TIMEOUT_MS", "12ms", 1);
+  const runtime::RuntimeOptions options =
+      runtime::RuntimeOptions::from_env(base());
+  EXPECT_EQ(options.harvest_ms, 7);
+  EXPECT_EQ(options.net_timeout_ms, 9);
+}
+
+TEST_F(RuntimeFixture, ConstructorIgnoresHarvestEnvironment) {
+  // harvest_ms = 0 means no background rounds, whatever the environment
+  // says; only the final shutdown round runs.
+  ::setenv("PICO_HARVEST_MS", "5", 1);
+  const auto plan = partition::efl_plan(graph_, cluster_);
+  runtime::PipelineRuntime rt(graph_, plan);
+  EXPECT_FLOAT_EQ(Tensor::max_abs_diff(rt.infer(input_), reference_), 0.0f);
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_EQ(rt.health().rounds, 0);
+  ::unsetenv("PICO_HARVEST_MS");
 }
 
 }  // namespace
